@@ -1,8 +1,8 @@
-//! Bench: every workload timed on each runtime backend (sim, threads,
-//! loopback, udp) under the synchronous scheme. The interesting quantity is
-//! the harness overhead each substrate adds around the identical
-//! `PeerEngine` work — loopback is the floor, UDP shows the real kernel
-//! socket cost — and how it scales across communication patterns (ghost
+//! Bench: every workload timed on each runtime backend (sim, loopback,
+//! reactor) under the synchronous scheme. The interesting quantity is the
+//! harness overhead each substrate adds around the identical `PeerEngine`
+//! work — loopback is the floor, the reactor shows the real kernel socket
+//! cost — and how it scales across communication patterns (ghost
 //! planes, ghost rows, rank-mass vectors).
 
 use bench_suite::{run_runtime_once, RuntimeMatrixScenario};

@@ -151,7 +151,7 @@ fn run_single(
 }
 
 /// One row of the (workload × scheme × runtime) matrix: one scenario run on
-/// one of the four backends, with the harness wall time alongside the
+/// one of the backends, with the harness wall time alongside the
 /// runtime's own elapsed metric (virtual for the simulated backend,
 /// wall-clock for the others). This is the machine-readable shape CI
 /// uploads as `BENCH_runtimes.json`, seeding the perf trajectory.
@@ -159,7 +159,7 @@ fn run_single(
 pub struct RuntimeBenchRow {
     /// Workload label ("obstacle", "heat", "pagerank").
     pub workload: String,
-    /// Backend label ("sim", "threads", "loopback", "udp").
+    /// Backend label ("sim", "loopback", "reactor").
     pub runtime: String,
     /// Scheme of computation.
     pub scheme: String,
@@ -203,7 +203,7 @@ impl RuntimeMatrixScenario {
     /// seconds-scale runs, large enough to be meaningful (the obstacle
     /// boundary planes at n = 14 span multiple UDP datagrams and exercise
     /// reassembly; PageRank's tighter tolerance matches its ~1/n rank
-    /// magnitudes). The sizes are bounded by the asynchronous × UDP cells:
+    /// magnitudes). The sizes are bounded by the asynchronous × reactor cells:
     /// a free-running peer relaxes hundreds of times per real-socket round
     /// trip, so slowly-converging workloads at tight tolerances burn
     /// minutes of wall clock there.
@@ -309,7 +309,7 @@ pub fn run_runtime_matrix_for(scenarios: &[RuntimeMatrixScenario]) -> RuntimeMat
     }
 }
 
-/// Run the default CI grid: all three workloads on all four backends.
+/// Run the default CI grid: all three workloads on every backend.
 pub fn run_runtime_matrix() -> RuntimeMatrixResult {
     run_runtime_matrix_for(&RuntimeMatrixScenario::all_workloads())
 }
@@ -348,7 +348,7 @@ pub fn format_runtime_matrix(result: &RuntimeMatrixResult) -> String {
 
 /// One row of the peer-scaling curve: the reactor backend multiplexing
 /// `peers` engines over nonblocking localhost sockets on a handful of event
-/// loops — the regime where one-OS-thread-per-peer backends stop scaling.
+/// loops — the regime where one OS thread per peer stops scaling.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScaleBenchRow {
     /// Backend label (always "reactor" today).
@@ -468,7 +468,7 @@ pub struct ChurnBenchRow {
     pub workload: String,
     /// Scheme of computation.
     pub scheme: String,
-    /// Backend label ("sim", "threads", "loopback", "udp").
+    /// Backend label ("sim", "loopback", "reactor").
     pub runtime: String,
     /// Churn level: "none" (fault-free baseline), "crash1" (one seeded
     /// mid-run crash, original blocks restored), "crash1+repart" (same crash
@@ -677,7 +677,7 @@ pub fn run_churn_hetero_cells() -> Vec<ChurnBenchRow> {
     rows
 }
 
-/// Run the default CI churn grid: all three workloads on all four backends
+/// Run the default CI churn grid: all three workloads on every backend
 /// (fault-free, crash, crash+repartition, crash+join per cell), plus the
 /// heterogeneous-capacity repartition-on/off cells.
 pub fn run_churn_grid() -> ChurnGridResult {
@@ -1629,10 +1629,9 @@ pub fn run_gossip_once(
 }
 
 /// Run the gossip grid: every (scheme × runtime × fanout) cell at 8 peers,
-/// each gossip run paired with a centralized run on the same seed, plus
-/// crash + recovery cells on the wall-clock backends (8-peer UDP, 64-peer
-/// reactor) comparing the SWIM detection latency against the centralized
-/// ping sweep.
+/// each gossip run paired with a centralized run on the same seed, plus a
+/// 64-peer reactor crash + recovery cell comparing the SWIM detection
+/// latency against the centralized ping sweep.
 pub fn run_gossip_grid() -> GossipGridResult {
     let mut rows = Vec::new();
     let pair = |runtime: RuntimeKind,
@@ -1653,27 +1652,15 @@ pub fn run_gossip_grid() -> GossipGridResult {
     for runtime in [
         RuntimeKind::Loopback,
         RuntimeKind::Sim,
-        RuntimeKind::Udp,
         RuntimeKind::Reactor,
     ] {
         for scheme in [Scheme::Synchronous, Scheme::Asynchronous] {
             pair(runtime, scheme, &[2, 3], 8, false, &mut rows);
         }
     }
-    // Detection-latency cells: one seeded crash; SWIM suspicion vs the
-    // centralized missed-ping sweep. The UDP backend spawns a real thread
-    // per peer, so its cell stays small enough not to oversubscribe
-    // CI-class machines (64 runnable threads on a couple of cores starve
-    // the 25 ms ack windows on both control planes); the reactor
-    // multiplexes peers onto event loops and carries the 64-peer cell.
-    pair(
-        RuntimeKind::Udp,
-        Scheme::Asynchronous,
-        &[3],
-        8,
-        true,
-        &mut rows,
-    );
+    // Detection-latency cell: one seeded crash; SWIM suspicion vs the
+    // centralized missed-ping sweep. The reactor multiplexes the 64 peers
+    // onto a few event loops.
     pair(
         RuntimeKind::Reactor,
         Scheme::Asynchronous,
@@ -1842,7 +1829,7 @@ mod tests {
         }
         // The matrix serializes for the BENCH_runtimes.json artifact.
         let json = serde_json::to_string(&result).expect("serializes");
-        assert!(json.contains("\"udp\"") && json.contains("schema_version"));
+        assert!(json.contains("\"reactor\"") && json.contains("schema_version"));
         assert!(json.contains("\"pagerank\"") && json.contains("\"heat\""));
     }
 

@@ -11,7 +11,7 @@
 //! the points the task exposes ([`IterativeTask::outgoing`] /
 //! [`IterativeTask::incorporate`]). This inversion is what lets the same
 //! application code run unchanged on the virtual-time simulated runtime and
-//! on the thread runtime (see DESIGN.md); the programmer-visible structure —
+//! on the wall-clock reactor runtime; the programmer-visible structure —
 //! define the problem, write the per-peer relaxation, aggregate the results —
 //! is the paper's.
 

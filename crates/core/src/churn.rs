@@ -26,9 +26,8 @@
 //! 1. The engine completes relaxation `X` and the injector fires: the sweep's
 //!    updates are never published, the peer marks itself crashed and goes
 //!    silent. The substrate makes the crash real to the degree it can — the
-//!    UDP runtime drops the peer's socket (in-flight datagrams are lost for
-//!    real), the thread runtime discards its inbox, the deterministic
-//!    runtimes stop driving the peer.
+//!    reactor runtime drops the peer's socket (in-flight datagrams are lost
+//!    for real), the deterministic runtimes stop driving the peer.
 //! 2. Detection: on the wall-clock backends the dead peer stops pinging the
 //!    [`crate::topology_manager::TopologyManager`] and is evicted after
 //!    three missed ping periods
@@ -181,7 +180,7 @@ impl ChurnEventKind {
 }
 
 /// One scheduled peer event. The trigger is the *victim's own relaxation
-/// count* — the only clock all four runtime backends share — so a plan
+/// count* — the only clock every runtime backend shares — so a plan
 /// replays identically on the deterministic substrates and meaningfully on
 /// the wall-clock ones.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -920,8 +919,8 @@ impl VolatilityState {
         self.pending_spawn.take()
     }
 
-    /// Consume the pending spawn if it is for `rank` (thread/udp joiner
-    /// threads wait on this).
+    /// Consume the pending spawn if it is for `rank` (the reactor's dormant
+    /// join slots poll this).
     pub fn take_spawn_if(&mut self, rank: usize) -> bool {
         if self.pending_spawn == Some(rank) {
             self.pending_spawn = None;

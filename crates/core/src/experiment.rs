@@ -44,9 +44,9 @@ pub struct RuntimeExperimentResult {
 ///
 /// The config's `seed` drives the deterministic backends (simulated fabric,
 /// loss-shim randomness), its `compute` model charges virtual time on the
-/// simulated backend (the wall-clock backends run the kernel for real), and
+/// simulated backend (the wall-clock backend runs the kernel for real), and
 /// its [`crate::BackendExtras`] carry the per-backend knobs (sim deadline,
-/// thread latency scale, socket impairment, reactor event-loop count).
+/// socket impairment, reactor event-loop count).
 pub fn run_on(
     workload: &dyn Workload,
     config: &RunConfig,

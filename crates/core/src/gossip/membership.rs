@@ -13,8 +13,8 @@
 //!
 //! The node is sans-io like the engine: `poll`/`on_message` return the
 //! messages to send and the driver owns delivery, so the same state machine
-//! runs over real sockets (udp/reactor), routed channels (threads) and the
-//! deterministic substrates (sim/loopback), where the seeded fanout makes
+//! runs over real sockets (reactor) and the deterministic substrates
+//! (sim/loopback), where the seeded fanout makes
 //! same-seed runs replay exactly.
 
 use crate::gossip::aggregation::{ConvergenceDigest, SweepSummary};
@@ -67,7 +67,7 @@ pub struct GossipTiming {
 }
 
 impl GossipTiming {
-    /// Wall-clock defaults for the socket/thread backends. The windows must
+    /// Wall-clock defaults for the reactor backend. The windows must
     /// absorb drive-loop scheduling latency — a reactor event loop
     /// multiplexing dozens of computing peers can sit on an incoming probe
     /// for tens of milliseconds before its next drain, and an ack deadline

@@ -1,21 +1,20 @@
-//! Wall-clock failure detection shared by the thread and UDP runtimes.
+//! Wall-clock failure detection of the reactor runtime.
 //!
-//! Both real-time backends detect peer death the way the paper's
+//! The real-time backend detects peer death the way the paper's
 //! centralized topology manager does: every peer pings a run-local
 //! [`TopologyManager`] server on a fixed cadence, a peer missing three
 //! consecutive periods is evicted, and a monitor thread sweeping
 //! [`TopologyManager::evictions_since`] feeds each eviction into the
-//! volatility coordinator's recovery grant. This module keeps the two
-//! backends on one implementation of that rule — the cadence, the
-//! registration bookkeeping, the re-register-on-spurious-eviction
-//! behaviour and the monitor loop live here, not in each drive loop.
+//! volatility coordinator's recovery grant. The cadence, the registration
+//! bookkeeping, the re-register-on-spurious-eviction behaviour and the
+//! monitor loop live here, not in the event loop.
 
 use crate::churn::SharedVolatility;
 use crate::runtime::engine::SharedDetector;
 use crate::runtime::report_cell::contention;
 use crate::topology_manager::TopologyManager;
 use desim::{SimDuration, SimTime};
-use netsim::{ClusterId, NodeId, Topology};
+use netsim::{NodeId, Topology};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -36,13 +35,12 @@ fn now_since(start: Instant) -> SimTime {
 }
 
 /// Create the run's failure-detector server with every rank registered (at
-/// time zero, before any peer thread spawns — a slow spawn must not read as
-/// missed pings). `multiplex` is how many peers share one heartbeat driver:
-/// 1 for the thread-per-peer backends, peers-per-loop for the reactor. A
-/// loop multiplexing hundreds of peers beats them all once per loop
-/// iteration, and a loaded iteration can easily outlast three bare ping
-/// periods — so the eviction window scales with the multiplex degree
-/// instead of reading a busy loop as mass death.
+/// time zero, before any event loop spawns — a slow spawn must not read as
+/// missed pings). `multiplex` is how many peers share one heartbeat driver
+/// (the reactor's peers per event loop). A loop multiplexing hundreds of
+/// peers beats them all once per loop iteration, and a loaded iteration can
+/// easily outlast three bare ping periods — so the eviction window scales
+/// with the multiplex degree instead of reading a busy loop as mass death.
 pub(crate) fn server_with_all_ranks(
     topology: &Topology,
     multiplex: usize,
@@ -111,79 +109,26 @@ pub(crate) fn run_monitor(
     }
 }
 
-/// A crashed peer's wait for the run's verdict: block (cheaply) until the
-/// monitor grants this rank's recovery, or until the run stops (relaxation
-/// cap reached elsewhere while the peer was down). Returns `true` on a
-/// grant, `false` on a stop. `while_waiting` runs each poll round so the
-/// backend can keep losing traffic addressed to the dead incarnation (the
-/// thread runtime drains its channel; the UDP runtime's dead socket needs
-/// nothing).
-pub(crate) fn await_recovery_grant(
-    volatility: &Option<SharedVolatility>,
-    shared: &SharedDetector,
+/// (Re)register `rank` with the failure detector as alive at this instant,
+/// taking its cluster and speed from `topology`: a joining or revived rank
+/// announcing itself, or a crashing rank's last sign of life. The latter
+/// anchors eviction to the crash itself — without it the victim's last ping
+/// may be a stalled loop iteration older, and detection (hence the measured
+/// downtime) comes up short of the three missed periods.
+pub(crate) fn register_alive(
+    topo: &SharedTopologyManager,
+    topology: &Topology,
     rank: usize,
-    mut while_waiting: impl FnMut(),
-) -> bool {
-    loop {
-        if shared.stopped() {
-            return false;
-        }
-        let granted = volatility
-            .as_ref()
-            .is_some_and(|vol| vol.lock().is_granted(rank));
-        if granted {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-        while_waiting();
-    }
-}
-
-/// One peer's heartbeat towards the failure detector.
-pub(crate) struct Heartbeat {
-    rank: usize,
-    cluster: ClusterId,
-    cpu_speed: f64,
-    last_ping: Instant,
-}
-
-impl Heartbeat {
-    /// The heartbeat of `rank` (topology supplies its cluster and speed).
-    pub(crate) fn new(topology: &Topology, rank: usize) -> Self {
-        let node = NodeId(rank);
-        Self {
-            rank,
-            cluster: topology.cluster_of(node),
-            cpu_speed: topology.node(node).cpu_speed,
-            last_ping: Instant::now(),
-        }
-    }
-
-    /// Ping the server if a period has elapsed. A peer the server no longer
-    /// knows (evicted spuriously, e.g. after a scheduling hiccup)
-    /// re-registers, as the paper's protocol demands of evicted peers.
-    pub(crate) fn beat(&mut self, topo: &SharedTopologyManager, start: Instant) {
-        if self.last_ping.elapsed() < PING_PERIOD {
-            return;
-        }
-        let now = now_since(start);
-        contention::count_topology_lock();
-        let mut topo = topo.lock().unwrap();
-        if !topo.ping(NodeId(self.rank), now) {
-            topo.register(NodeId(self.rank), self.cluster, self.cpu_speed, now);
-        }
-        self.last_ping = Instant::now();
-    }
-
-    /// A revived rank rejoins: register afresh and restart the cadence.
-    pub(crate) fn rejoin(&mut self, topo: &SharedTopologyManager, start: Instant) {
-        let now = now_since(start);
-        contention::count_topology_lock();
-        topo.lock()
-            .unwrap()
-            .register(NodeId(self.rank), self.cluster, self.cpu_speed, now);
-        self.last_ping = Instant::now();
-    }
+    start: Instant,
+) {
+    let node = NodeId(rank);
+    contention::count_topology_lock();
+    topo.lock().unwrap().register(
+        node,
+        topology.cluster_of(node),
+        topology.node(node).cpu_speed,
+        now_since(start),
+    );
 }
 
 /// One event loop's batched heartbeat towards the failure detector: a
@@ -210,8 +155,9 @@ impl LoopHeartbeat {
     }
 
     /// Ping on behalf of `nodes`; any the server no longer knows (evicted
-    /// spuriously) are re-registered from the topology's specs, exactly as
-    /// [`Heartbeat::beat`] does for a single peer.
+    /// spuriously, e.g. after a scheduling hiccup) are re-registered from
+    /// the topology's specs, as the paper's protocol demands of evicted
+    /// peers.
     pub(crate) fn beat_many(
         &mut self,
         topo: &SharedTopologyManager,
@@ -270,11 +216,11 @@ mod tests {
             // Rank 1 heartbeats; rank 0 never pings, so the monitor evicts
             // it while the coordinator knows of no crash — the grant it
             // attempts on that eviction edge is a no-op.
-            let mut heartbeat = Heartbeat::new(&topology, 1);
+            let mut heartbeat = LoopHeartbeat::new();
             let deadline = Instant::now() + Duration::from_secs(10);
             while topo.lock().unwrap().peer(NodeId(0)).is_some() {
                 assert!(Instant::now() < deadline, "rank 0 was never evicted");
-                heartbeat.beat(&topo, start);
+                heartbeat.beat_many(&topo, &topology, start, &[NodeId(1)]);
                 std::thread::sleep(Duration::from_millis(2));
             }
             // Let the monitor sweep past the eviction edge, then land the
@@ -286,7 +232,7 @@ mod tests {
                     Instant::now() < deadline,
                     "eviction edge was consumed without a grant"
                 );
-                heartbeat.beat(&topo, start);
+                heartbeat.beat_many(&topo, &topology, start, &[NodeId(1)]);
                 std::thread::sleep(Duration::from_millis(2));
             }
             // Stop the run so the monitor loop exits.

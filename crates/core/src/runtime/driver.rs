@@ -13,11 +13,11 @@
 
 use crate::app::IterativeTask;
 use crate::metrics::RunMeasurement;
-use crate::runtime::{loopback, reactor, sim, threads, udp, RunConfig};
+use crate::runtime::{loopback, reactor, sim, RunConfig};
 use netsim::NetStats;
 use serde::{Deserialize, Serialize};
 
-/// The runtime backend an experiment executes on. All five drive the same
+/// The runtime backend an experiment executes on. All three drive the same
 /// [`crate::runtime::engine::PeerEngine`]; they differ only in the substrate
 /// carrying the P2PSAP segments and in the clock behind the measurement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -26,28 +26,21 @@ pub enum RuntimeKind {
     /// (deterministic, models latency/bandwidth/loss — the evaluation
     /// harness default).
     Sim,
-    /// One OS thread per peer, channel-routed segments with scaled link
-    /// latency (wall-clock).
-    Threads,
     /// Single-threaded in-process round-robin with instant delivery
     /// (deterministic, fastest).
     Loopback,
-    /// One OS thread per peer over real localhost UDP sockets with framing,
-    /// bootstrap discovery and an optional loss/reorder shim (wall-clock).
-    Udp,
-    /// Readiness-polled event loops multiplexing many peers per OS thread
-    /// over nonblocking UDP sockets — the scale backend for hundreds to
-    /// thousands of peers (wall-clock).
+    /// Readiness-polled event loops multiplexing peers over nonblocking
+    /// localhost UDP sockets with framing, bootstrap discovery and an
+    /// optional loss/reorder shim — one loop per peer up to thousands of
+    /// peers per handful of loops (wall-clock).
     Reactor,
 }
 
 impl RuntimeKind {
     /// Every backend, in the order the bench matrix reports them.
-    pub const ALL: [RuntimeKind; 5] = [
+    pub const ALL: [RuntimeKind; 3] = [
         RuntimeKind::Sim,
-        RuntimeKind::Threads,
         RuntimeKind::Loopback,
-        RuntimeKind::Udp,
         RuntimeKind::Reactor,
     ];
 
@@ -87,10 +80,10 @@ pub struct DriverOutcome {
     /// Per-rank serialized results (from [`IterativeTask::result`]).
     pub results: Vec<(usize, Vec<u8>)>,
     /// Network statistics, when the backend models the fabric (`Some` on the
-    /// simulated backend only; socket backends use the real network stack).
+    /// simulated backend only; the reactor uses the real network stack).
     pub net: Option<NetStats>,
-    /// Datagrams dropped by the deterministic loss shim (socket backends
-    /// with impairment armed; zero everywhere else).
+    /// Datagrams dropped by the deterministic loss shim (the reactor with
+    /// impairment armed; zero everywhere else).
     pub datagrams_dropped: u64,
 }
 
@@ -118,11 +111,9 @@ pub trait RuntimeDriver: Sync {
 
 /// The backend registry: one static driver per [`RuntimeKind`], in
 /// [`RuntimeKind::ALL`] order.
-pub static DRIVERS: [&dyn RuntimeDriver; 5] = [
+pub static DRIVERS: [&dyn RuntimeDriver; 3] = [
     &sim::SimDriver,
-    &threads::ThreadsDriver,
     &loopback::LoopbackDriver,
-    &udp::UdpDriver,
     &reactor::ReactorDriver,
 ];
 
@@ -152,7 +143,7 @@ mod tests {
                 driver.label()
             })
             .collect();
-        assert_eq!(labels, ["sim", "threads", "loopback", "udp", "reactor"]);
+        assert_eq!(labels, ["sim", "loopback", "reactor"]);
     }
 
     /// The registry and `ALL` stay in lockstep: same length, same order, no
@@ -172,15 +163,12 @@ mod tests {
     fn clock_and_determinism_traits_are_reported() {
         assert!(driver_for(RuntimeKind::Sim).deterministic());
         assert!(driver_for(RuntimeKind::Loopback).deterministic());
-        assert!(!driver_for(RuntimeKind::Udp).deterministic());
         assert!(!driver_for(RuntimeKind::Reactor).deterministic());
         assert_eq!(driver_for(RuntimeKind::Sim).clock(), ClockDomain::Virtual);
         assert_eq!(
             driver_for(RuntimeKind::Loopback).clock(),
             ClockDomain::EventCount
         );
-        assert_eq!(driver_for(RuntimeKind::Threads).clock(), ClockDomain::Wall);
-        assert_eq!(driver_for(RuntimeKind::Udp).clock(), ClockDomain::Wall);
         assert_eq!(driver_for(RuntimeKind::Reactor).clock(), ClockDomain::Wall);
     }
 }

@@ -17,11 +17,11 @@
 //! `on_compute_done`, `on_stop_signal`, `on_rollback`) and executes the
 //! actions the engine pushes through its transport (transmit a segment, arm
 //! or cancel a protocol timer, schedule the completion of a relaxation,
-//! broadcast the stop signal or a rollback). Four transports exist today:
-//! the virtual-time desim / netsim fabric ([`crate::runtime::sim`]), real
-//! OS threads with routed channels ([`crate::runtime::threads`]), the
+//! broadcast the stop signal or a rollback). Three transports exist today:
+//! the virtual-time desim / netsim fabric ([`crate::runtime::sim`]), the
 //! zero-latency in-process loopback ([`crate::runtime::loopback`]) and real
-//! localhost UDP sockets ([`crate::runtime::udp`]).
+//! localhost UDP sockets ([`crate::runtime::udp`], driven by
+//! [`crate::runtime::reactor`]).
 //!
 //! Global convergence detection lives in [`ConvergenceDetector`], shared by
 //! all peers of a run. It is an omniscient observer (it consumes no network
@@ -136,7 +136,7 @@ pub trait PeerTransport {
 }
 
 /// Deadline queue for protocol timers, shared by the transports that keep
-/// their own clock (threads, loopback). Re-arming a key replaces its
+/// their own clock (reactor, loopback). Re-arming a key replaces its
 /// previous deadline; popping is in deadline order.
 #[derive(Debug, Default)]
 pub struct TimerQueue {

@@ -630,7 +630,7 @@ where
             // timescales (milliseconds) are unreachable while any peer is
             // busy — dropping a delivered-but-unacknowledged update here
             // would lose it forever and deadlock a synchronous edge. Real
-            // loss-under-crash semantics live on the UDP backend, whose
+            // loss-under-crash semantics live on the reactor backend, whose
             // sockets genuinely drop and retransmit in wall-clock time.
             if engines[rank].as_ref().expect("spawned").crashed() {
                 if let std::collections::hash_map::Entry::Vacant(entry) = recover_at.entry(rank) {

@@ -23,27 +23,21 @@
 //!   relaxations charge virtual time through the
 //!   [`crate::compute::ComputeModel`].
 //!
-//! * [`threads`] — the wall-clock substrate used by the examples: one OS
-//!   thread per peer, segments routed through channels with scaled link
-//!   latency, relaxations costing their real kernel time.
-//!
 //! * [`loopback`] — the zero-latency in-process substrate used by quick
 //!   tests: instant delivery, round-robin drive, an event counter for a
 //!   clock. The cheapest way to exercise the full peer loop, and the proof
-//!   that the engine abstraction carries to a third backend unchanged.
+//!   that the engine abstraction carries to another backend unchanged.
 //!
-//! * [`udp`] — the real-socket substrate: one OS thread per peer owning a
-//!   `UdpSocket` bound to an ephemeral localhost port, P2PSAP segments
-//!   framed into datagrams (with reassembly), peer discovery over the
-//!   socket itself, and an optional deterministic loss/reorder shim so the
-//!   protocol's reliability machinery is exercised by a genuinely lossy
-//!   network stack.
+//! * [`reactor`] — the wall-clock, real-socket substrate: readiness-polled
+//!   event loops (the vendored `polling` epoll wrapper) each multiplexing
+//!   peers over nonblocking localhost UDP sockets, relaxations costing their
+//!   real kernel time. From one loop per peer up to thousands of peers on a
+//!   handful of loops.
 //!
-//! * [`reactor`] — the scale substrate: a few readiness-polled event loops
-//!   (the vendored `polling` epoll wrapper) each multiplexing many peers
-//!   over nonblocking UDP sockets, reusing the [`udp`] framing, bootstrap
-//!   and detection machinery. Runs thousands of peers where the
-//!   thread-per-peer backends cap out at tens.
+//! [`udp`] is the reactor's wire, not a backend: P2PSAP segments framed into
+//! datagrams (with reassembly), peer discovery over the socket itself, and
+//! an optional deterministic loss/reorder shim so the protocol's reliability
+//! machinery is exercised by a genuinely lossy network stack.
 //!
 //! Every backend registers as a [`driver::RuntimeDriver`]: the dispatch
 //! layer, the bench grids and the e2e helpers iterate the
@@ -63,7 +57,6 @@ pub mod loopback;
 pub mod reactor;
 pub mod report_cell;
 pub mod sim;
-pub mod threads;
 pub mod udp;
 
 pub use driver::{
@@ -122,7 +115,7 @@ impl ControlPlane {
 /// Typed per-backend knobs layered on the shared [`RunConfig`]. Each
 /// [`driver::RuntimeDriver`] reads its own variant through the accessor
 /// methods (which fall back to the backend's defaults for every other
-/// variant), so one `RunConfig` drives all five backends and a config built
+/// variant), so one `RunConfig` drives every backend and a config built
 /// for one backend degrades gracefully on another.
 #[derive(Debug, Clone, Default)]
 pub enum BackendExtras {
@@ -134,22 +127,11 @@ pub enum BackendExtras {
         /// Virtual-time cap.
         deadline: SimDuration,
     },
-    /// Thread backend: link-latency scaling.
-    Threads {
-        /// Scale factor applied to link latencies (1.0 = real latencies).
-        latency_scale: f64,
-    },
-    /// UDP backend: the deterministic loss/reorder shim.
-    Udp {
-        /// Probability that the shim drops an outgoing datagram.
-        loss_probability: f64,
-        /// Probability that the shim holds a datagram back one slot.
-        reorder_probability: f64,
-    },
-    /// Reactor backend: event-loop sizing plus the same shim as [`udp`].
+    /// Reactor backend: event-loop sizing plus the deterministic
+    /// loss/reorder shim of the [`udp`] wire.
     Reactor {
         /// Number of event-loop threads (0 = size from the host's
-        /// available parallelism).
+        /// available parallelism; the peer count gives one loop per peer).
         event_loops: usize,
         /// Probability that the shim drops an outgoing datagram.
         loss_probability: f64,
@@ -171,22 +153,10 @@ impl BackendExtras {
         }
     }
 
-    /// The thread backend's link-latency scale factor.
-    pub fn latency_scale(&self) -> f64 {
-        match self {
-            BackendExtras::Threads { latency_scale } => *latency_scale,
-            _ => RunConfig::DEFAULT_LATENCY_SCALE,
-        }
-    }
-
-    /// The socket backends' `(loss, reorder)` shim probabilities.
+    /// The reactor backend's `(loss, reorder)` shim probabilities.
     pub fn impairment(&self) -> (f64, f64) {
         match self {
-            BackendExtras::Udp {
-                loss_probability,
-                reorder_probability,
-            }
-            | BackendExtras::Reactor {
+            BackendExtras::Reactor {
                 loss_probability,
                 reorder_probability,
                 ..
@@ -209,7 +179,7 @@ impl BackendExtras {
 /// convergence tolerance and the relaxation cap. Backend-specific knobs
 /// travel in the typed [`BackendExtras`] enum (`extras`); each driver reads
 /// its own variant and falls back to its defaults for every other, so the
-/// same config runs on all five backends.
+/// same config runs on every backend.
 ///
 /// `seed` and `compute` are shared here rather than duplicated per backend:
 /// the seed drives every deterministic random source (the simulated fabric,
@@ -243,8 +213,8 @@ pub struct RunConfig {
     /// ignored. [`crate::experiment::run_on`] fills this in automatically
     /// for churn-armed runs.
     pub repartitioner: Option<ReslicerHandle>,
-    /// Typed backend-specific knobs (sim deadline, thread latency scale,
-    /// socket impairment, reactor event-loop count). The default variant
+    /// Typed backend-specific knobs (sim deadline, socket impairment,
+    /// reactor event-loop count). The default variant
     /// means "every backend's defaults".
     pub extras: BackendExtras,
     /// How membership and the stop decision are carried (central ping
@@ -260,10 +230,6 @@ impl RunConfig {
     /// Relaxation cap of the `quick` configurations used by tests and
     /// examples.
     pub const QUICK_MAX_RELAXATIONS: u64 = 500_000;
-
-    /// Default link-latency scale factor of the thread runtime (previously
-    /// inlined as a magic `0.05` at the dispatch site).
-    pub const DEFAULT_LATENCY_SCALE: f64 = 0.05;
 
     /// Default convergence tolerance.
     pub const DEFAULT_TOLERANCE: f64 = 1e-4;

@@ -1,32 +1,29 @@
-//! The reactor runtime of P2PDC: readiness-polled event loops multiplexing
-//! many peers per OS thread over nonblocking UDP sockets.
+//! The reactor runtime of P2PDC — the one wall-clock backend: readiness-polled
+//! event loops multiplexing many peers per OS thread over nonblocking UDP
+//! sockets.
 //!
-//! The thread-per-peer backends ([`threads`](crate::runtime::threads),
-//! [`udp`](crate::runtime::udp)) cap out at tens of peers: every peer costs
-//! an OS thread, and past the core count the scheduler burns the run's time
-//! context-switching idle waiters. This backend keeps the *wire* of the UDP
-//! runtime — the same datagram framing, fragment reassembly, bootstrap
-//! discovery, loss shim, pacing gate and failure detection, reused from
-//! [`crate::runtime::udp`] verbatim — but replaces its drive loop: a small
-//! fixed pool of event-loop threads each owns a contiguous slice of peers
-//! and multiplexes their nonblocking sockets through the vendored
-//! [`polling`] readiness poller (epoll on Linux). A thousand peers are a
-//! thousand sockets on a handful of threads, so the 1024-peer rows of the
-//! scaling grid run on a laptop.
+//! The wire comes from [`crate::runtime::udp`] (datagram framing, fragment
+//! reassembly, bootstrap discovery, loss shim, pacing gate) and failure
+//! detection from the run-local ping server. A fixed pool of event-loop
+//! threads each owns a contiguous slice of peers and multiplexes their
+//! nonblocking sockets through the vendored [`polling`] readiness poller
+//! (epoll on Linux). A thousand peers are a thousand sockets on a handful
+//! of threads, so the 1024-peer rows of the scaling grid run on a laptop;
+//! at the other end, `event_loops = peers` gives every peer its own OS
+//! thread.
 //!
-//! Blocking is forbidden inside an event loop, so every wait the UDP
-//! runtime performs inline becomes a per-peer state machine phase:
-//! bootstrap discovery resends hellos on poll ticks until the rank→address
-//! table lands, a pre-provisioned join rank stays dormant until its seeded
-//! join fires, and a crashed peer parks in an await-grant phase (its
-//! replacement socket already bound) until the failure monitor grants
-//! recovery or the run stops.
+//! Blocking is forbidden inside an event loop, so every wait is a per-peer
+//! state machine phase: bootstrap discovery resends hellos on poll ticks
+//! until the rank→address table lands, a pre-provisioned join rank stays
+//! dormant until its seeded join fires, and a crashed peer parks in an
+//! await-grant phase (its replacement socket already bound) until the
+//! failure monitor grants recovery or the run stops.
 
 use crate::app::IterativeTask;
 use crate::churn::{SharedVolatility, VolatilityState};
 use crate::gossip::{GossipMessage, GossipNode, GossipTiming};
 use crate::metrics::RunMeasurement;
-use crate::runtime::detection::{self, Heartbeat, LoopHeartbeat};
+use crate::runtime::detection::{self, LoopHeartbeat};
 use crate::runtime::driver::{ClockDomain, DriverOutcome, RuntimeDriver, RuntimeKind, TaskFactory};
 use crate::runtime::engine::{
     ConvergenceDetector, PeerEngine, PeerTransport, SharedDetector, TimerQueue,
@@ -57,7 +54,8 @@ const REBALANCE_RATIO: f64 = 1.25;
 const REBALANCE_MIN_BUSY: Duration = Duration::from_millis(5);
 
 /// Global switch for the measured loop rebalance (on by default). The
-/// contention bench disables it to isolate the static-shard baseline.
+/// contention bench disables it to isolate the static-shard baseline; each
+/// run reads it once, when it starts.
 static REBALANCE_ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Enable or disable migration of peers between reactor event loops.
@@ -144,8 +142,7 @@ pub struct ReactorRunOutcome {
 const HELLO_RETRY: Duration = Duration::from_millis(25);
 
 /// Poll-timeout ceiling when every owned peer is quiescent: bounds the
-/// latency of the dormant-join, await-grant and stop polls (the same 2 ms
-/// the UDP runtime's idle backoff tops out at).
+/// latency of the dormant-join, await-grant and stop polls.
 const IDLE_POLL_CAP: Duration = Duration::from_millis(2);
 
 /// What to do with a peer's engine once the rank→address table arrives.
@@ -189,7 +186,6 @@ struct Peer {
     /// `None` only while [`Phase::Dormant`] (no socket yet).
     transport: Option<UdpTransport>,
     reassembler: Reassembler,
-    heartbeat: Option<Heartbeat>,
     /// Table received by the drain sweep, applied by the advance sweep.
     table: Option<Vec<SocketAddr>>,
     /// The peer's SWIM node under the gossip control plane (`None` under
@@ -257,10 +253,12 @@ struct Balancer {
     total: usize,
     migrations: AtomicU64,
     clock: Mutex<RebalanceClock>,
+    /// Whether migration may fire (period accounting runs regardless).
+    rebalance: bool,
 }
 
 impl Balancer {
-    fn new(loops: usize, total: usize) -> Self {
+    fn new(loops: usize, total: usize, rebalance: bool) -> Self {
         Self {
             mailboxes: (0..loops).map(|_| Mutex::new(Vec::new())).collect(),
             pending: (0..loops).map(|_| AtomicUsize::new(0)).collect(),
@@ -273,6 +271,7 @@ impl Balancer {
                 last_busy: vec![0; loops],
                 first_period: None,
             }),
+            rebalance,
         }
     }
 
@@ -336,7 +335,7 @@ impl Balancer {
         // The period accounting above runs even when migration can't — the
         // busy-share stats stay meaningful on single-loop and
         // rebalance-disabled runs.
-        if !rebalance_enabled() || self.mailboxes.len() < 2 {
+        if !self.rebalance || self.mailboxes.len() < 2 {
             return None;
         }
         let (max_loop, max_delta) = deltas.iter().copied().enumerate().max_by_key(|&(_, d)| d)?;
@@ -438,9 +437,6 @@ impl Peer {
             next_send_ok: HashMap::new(),
             send_frame: Vec::new(),
         });
-        if self.heartbeat.is_none() {
-            self.heartbeat = Some(Heartbeat::new(ctx.topology, self.rank));
-        }
         self.send_hello(ctx);
         self.phase = Phase::Discovering {
             hello_at: Instant::now(),
@@ -473,9 +469,9 @@ impl Peer {
     /// Drain everything the kernel has buffered on this peer's socket.
     /// While discovering, only the bootstrap table is acted on (data
     /// fragments racing ahead of it are discarded — the reliable channel
-    /// retransmits and asynchronous ghosts are superseded, exactly as with
-    /// the UDP runtime's blocking discovery). While running, this is the
-    /// UDP runtime's receive sweep verbatim.
+    /// retransmits and asynchronous ghosts are superseded). While running,
+    /// fragments are reassembled into segments and control datagrams are
+    /// dispatched to the engine.
     fn drain(&mut self, buf: &mut [u8]) {
         let Some(transport) = self.transport.as_mut() else {
             return;
@@ -604,19 +600,13 @@ impl Peer {
                             // The joiner announces itself to the failure
                             // detector before its first relaxation.
                             if let Some(topo) = ctx.topo {
-                                self.heartbeat
-                                    .as_mut()
-                                    .expect("bound peer has heartbeat")
-                                    .rejoin(topo, ctx.start);
+                                detection::register_alive(topo, ctx.topology, self.rank, ctx.start);
                             }
                             engine.on_start(transport);
                         }
                         OnTable::Recover => {
                             if let Some(topo) = ctx.topo {
-                                self.heartbeat
-                                    .as_mut()
-                                    .expect("bound peer has heartbeat")
-                                    .rejoin(topo, ctx.start);
+                                detection::register_alive(topo, ctx.topology, self.rank, ctx.start);
                             }
                             engine.recover(transport);
                             // Refute the (correct) death verdict with a
@@ -693,9 +683,13 @@ impl Peer {
                         // port closes, in-flight datagrams to it are dropped
                         // by the kernel, and neighbours' sends go nowhere
                         // until the bootstrap publishes the revived peer's
-                        // new port. Timers die with it, and it stops
-                        // pinging — the topology manager evicts it and the
-                        // monitor grants recovery.
+                        // new port. Timers die with it, and after a last
+                        // ping at the crash instant it stops pinging — the
+                        // topology manager evicts it three periods later
+                        // and the monitor grants recovery.
+                        if let Some(topo) = ctx.topo {
+                            detection::register_alive(topo, ctx.topology, self.rank, ctx.start);
+                        }
                         transport.shim.flush(&transport.socket);
                         let _ = poller.delete(&transport.socket);
                         transport.timers = TimerQueue::new();
@@ -725,7 +719,7 @@ impl Peer {
                 // probe cycle, feed death verdicts into the recovery
                 // coordinator (level-triggered; `grant` no-ops unless the
                 // rank really crashed), and evaluate the stop decision over
-                // the merged digest — same order as the UDP drive loop.
+                // the merged digest.
                 if !engine.finished() {
                     if let Some(g) = self.gossip.as_mut() {
                         if let Some(sweep) = engine.sweep_summary() {
@@ -750,7 +744,7 @@ impl Peer {
                     // Another peer may have stopped the run while this one
                     // was idling in a scheme wait (or its stop datagram was
                     // dropped). Poll the detector's published verdicts as
-                    // the safety net, exactly like the UDP drive loop.
+                    // the safety net.
                     if ctx.shared.stopped() {
                         engine.on_stop_signal(transport);
                     } else {
@@ -829,7 +823,6 @@ fn event_loop(
                     engine: None,
                     transport: None,
                     reassembler: Reassembler::new(),
-                    heartbeat: None,
                     table: None,
                     gossip: None,
                     seen_ports_version: 0,
@@ -991,8 +984,8 @@ where
     // mailbox no thread ever collects.
     let live_loops = total.div_ceil(chunk);
 
-    // Wall-clock failure detection, shared with the other real-time
-    // backends: peers ping a run-local topology-manager server; the monitor
+    // Wall-clock failure detection: peers ping a run-local
+    // topology-manager server; the monitor
     // thread sweeps it for missed-ping evictions. Each loop heartbeats all
     // its peers at once, so the eviction window scales with the multiplex
     // degree (a loaded loop's iteration outlasting three bare ping periods
@@ -1015,7 +1008,7 @@ where
     let ports = Mutex::new(vec![0u16; total]);
     let ports_version = AtomicU64::new(0);
     let dropped = AtomicU64::new(0);
-    let balancer = Balancer::new(live_loops, total);
+    let balancer = Balancer::new(live_loops, total, rebalance_enabled());
     let ctx = LoopShared {
         alpha,
         topology: &topology,
@@ -1145,7 +1138,7 @@ mod tests {
     /// guards, and the target is the least-busy loop.
     #[test]
     fn shed_target_picks_the_least_busy_loop_only_under_real_imbalance() {
-        let balancer = Balancer::new(3, 6);
+        let balancer = Balancer::new(3, 6, true);
         // Synthetic period: loop 0 did 40 ms of work, loop 1 did 10 ms,
         // loop 2 did 2 ms.
         balancer.add_busy(0, 40_000_000);
@@ -1180,22 +1173,23 @@ mod tests {
     }
 
     /// A quiescent imbalance (all deltas under the noise floor) must not
-    /// shuffle peers, and disabling rebalancing vetoes migration while the
-    /// period accounting keeps running.
+    /// shuffle peers, and a balancer built with rebalancing off vetoes
+    /// migration while the period accounting keeps running.
     #[test]
     fn shed_target_respects_noise_floor_and_disable_switch() {
-        let quiet = Balancer::new(2, 4);
+        let quiet = Balancer::new(2, 4, true);
         quiet.add_busy(0, 100_000); // 0.1 ms: under the 5 ms floor
         std::thread::sleep(REBALANCE_PERIOD + Duration::from_millis(10));
         assert_eq!(quiet.shed_target(0), None, "noise must not migrate peers");
 
-        let disabled = Balancer::new(2, 4);
+        let disabled = Balancer::new(2, 4, false);
         disabled.add_busy(0, 40_000_000);
-        set_rebalance_enabled(false);
         std::thread::sleep(REBALANCE_PERIOD + Duration::from_millis(10));
-        let decision = disabled.shed_target(0);
-        set_rebalance_enabled(true);
-        assert_eq!(decision, None, "disabled rebalance must not migrate");
+        assert_eq!(
+            disabled.shed_target(0),
+            None,
+            "disabled rebalance must not migrate"
+        );
         assert_eq!(
             disabled.stats().busy_ns_first_period,
             vec![40_000_000, 0],
@@ -1208,14 +1202,13 @@ mod tests {
     /// migration; retirement counting drains the run.
     #[test]
     fn mailbox_delivery_and_done_counting() {
-        let balancer = Balancer::new(2, 2);
+        let balancer = Balancer::new(2, 2, true);
         let peer = Peer {
             rank: 7,
             phase: Phase::Dormant,
             engine: None,
             transport: None,
             reassembler: Reassembler::new(),
-            heartbeat: None,
             table: None,
             gossip: None,
             seen_ports_version: 0,

@@ -1,11 +1,8 @@
-//! The real-socket UDP runtime of P2PDC.
+//! The UDP wire of P2PDC: everything a peer needs to put P2PSAP segments
+//! on a real localhost socket, with no drive loop of its own.
 //!
-//! The fourth [`PeerTransport`] implementation, and the first whose segments
-//! leave the process: every peer is an OS thread owning a
-//! [`std::net::UdpSocket`] bound to an ephemeral localhost port, and P2PSAP
-//! wire segments travel as genuine UDP datagrams through the kernel's network
-//! stack. Everything scheme- and protocol-related still lives in the shared
-//! [`PeerEngine`] — this module only provides:
+//! The [`reactor`](crate::runtime::reactor) backend drives peers; this
+//! module supplies the wire it drives them over:
 //!
 //! * **Framing / reassembly** — a P2PSAP segment can exceed a safe datagram
 //!   size (boundary planes grow with the grid), so segments are split into
@@ -22,28 +19,17 @@
 //!   dropping or swapping datagrams with configured probabilities, so the
 //!   congestion-control and protocol-adaptation paths are exercised over
 //!   genuinely lossy delivery rather than only netsim's model.
-//! * **Drive loop** — nonblocking receive with exponential sleep backoff
-//!   (reset on any event), wall-clock protocol timers through the shared
-//!   [`TimerQueue`], and the same compute-pending turn the thread runtime
-//!   uses.
+//! * **Transport** — `UdpTransport`, the [`PeerTransport`] over one socket:
+//!   in-place fragment encoding, wall-clock protocol timers through the
+//!   shared [`TimerQueue`], the asynchronous pacing gate, and the stop /
+//!   rollback broadcasts that bypass the shim.
 //!
 //! Latency is whatever the kernel's loopback path provides (microseconds);
 //! the topology only contributes the cluster split that the hybrid scheme's
-//! wait rule and the Table I controller consume. Runs are therefore *not*
-//! deterministic in elapsed time — but synchronous-scheme relaxation counts
-//! still match the other runtimes, which is what the cross-runtime
-//! agreement tests assert.
+//! wait rule and the Table I controller consume.
 
-use crate::app::IterativeTask;
-use crate::churn::{SharedVolatility, VolatilityState};
-use crate::gossip::{GossipMessage, GossipNode, GossipTiming};
-use crate::metrics::RunMeasurement;
-use crate::runtime::detection::{self, Heartbeat};
-use crate::runtime::driver::{ClockDomain, DriverOutcome, RuntimeDriver, RuntimeKind, TaskFactory};
-use crate::runtime::engine::{
-    ConvergenceDetector, PeerEngine, PeerTransport, TimerKey, TimerQueue,
-};
-use crate::runtime::RunConfig;
+use crate::gossip::GossipMessage;
+use crate::runtime::engine::{PeerTransport, TimerKey, TimerQueue};
 use bytes::Bytes;
 use netsim::Topology;
 use rand::{RngCore, SeedableRng};
@@ -535,58 +521,8 @@ impl LossShim {
     }
 }
 
-/// The registered [`RuntimeDriver`] of the UDP backend. Reads the
-/// loss/reorder shim probabilities from
-/// [`BackendExtras::Udp`](crate::BackendExtras). Link latencies are not
-/// emulated — the kernel's loopback path provides the real ones; the
-/// topology still drives the peer count, the hybrid wait rule and Table I.
-/// The shim draws its randomness from the shared `seed`.
-pub struct UdpDriver;
-
-impl RuntimeDriver for UdpDriver {
-    fn kind(&self) -> RuntimeKind {
-        RuntimeKind::Udp
-    }
-
-    fn label(&self) -> &'static str {
-        "udp"
-    }
-
-    fn clock(&self) -> ClockDomain {
-        ClockDomain::Wall
-    }
-
-    fn deterministic(&self) -> bool {
-        false
-    }
-
-    fn run(&self, config: &RunConfig, task_factory: TaskFactory<'_>) -> DriverOutcome {
-        let outcome = run_iterative_udp(config, |rank| task_factory(rank));
-        DriverOutcome {
-            measurement: outcome.measurement,
-            results: outcome.results,
-            net: None,
-            datagrams_dropped: outcome.datagrams_dropped,
-        }
-    }
-}
-
-/// Outcome of a UDP-runtime run.
-#[derive(Debug, Clone)]
-pub struct UdpRunOutcome {
-    /// Timing and relaxation measurements (elapsed is wall-clock).
-    pub measurement: RunMeasurement,
-    /// Per-rank serialized results.
-    pub results: Vec<(usize, Vec<u8>)>,
-    /// The localhost ports the peers bound during bootstrap, in rank order.
-    pub ports: Vec<u16>,
-    /// Datagrams dropped by the loss shim, summed over all peers.
-    pub datagrams_dropped: u64,
-}
-
-/// The [`PeerTransport`] of the UDP runtime (the reactor backend reuses it
-/// verbatim: framing, pacing gate and control broadcasts are identical; only
-/// the drive loop around it differs).
+/// The [`PeerTransport`] of one peer's socket: framing, pacing gate and
+/// control broadcasts (the reactor's event loops drive it).
 pub(crate) struct UdpTransport {
     pub(crate) rank: usize,
     pub(crate) start: Instant,
@@ -777,37 +713,6 @@ pub(crate) fn bootstrap_service(
     })
 }
 
-/// Announce `rank` to the bootstrap service until the rank→address table
-/// arrives; returns the table.
-pub(crate) fn discover_peers(
-    socket: &UdpSocket,
-    rank: usize,
-    bootstrap: SocketAddr,
-) -> Vec<SocketAddr> {
-    socket
-        .set_read_timeout(Some(Duration::from_millis(10)))
-        .expect("set discovery read timeout");
-    let hello = Datagram::Hello { rank }.encode();
-    let mut buf = vec![0u8; 65536];
-    loop {
-        let _ = socket.send_to(&hello, bootstrap);
-        let deadline = Instant::now() + Duration::from_millis(50);
-        while Instant::now() < deadline {
-            match socket.recv_from(&mut buf) {
-                Ok((len, _)) => {
-                    if let Some(Datagram::Table { ports }) = Datagram::decode(&buf[..len]) {
-                        return ports
-                            .into_iter()
-                            .map(|p| SocketAddr::V4(SocketAddrV4::new(localhost(), p)))
-                            .collect();
-                    }
-                }
-                Err(_) => std::thread::sleep(Duration::from_micros(200)),
-            }
-        }
-    }
-}
-
 /// Send one gossip message as a [`Datagram::Gossip`] straight over the
 /// socket — past the loss shim, because gossip *is* the failure-detection
 /// path (a dropped probe must look like a dead peer, not like shim noise),
@@ -830,421 +735,13 @@ pub(crate) fn send_gossip(
     }
 }
 
-/// Run a distributed iterative computation over real localhost UDP sockets,
-/// one OS thread per peer.
-pub(crate) fn run_iterative_udp<F>(config: &RunConfig, task_factory: F) -> UdpRunOutcome
-where
-    F: Fn(usize) -> Box<dyn IterativeTask> + Send + Sync,
-{
-    let alpha = config.topology.len();
-    assert!(alpha >= 1);
-    // Pre-provision bootstrap-table slots and a dormant thread for ranks
-    // that may join mid-run.
-    let topology = config.provisioned_topology();
-    let total = topology.len();
-    let shared = ConvergenceDetector::shared_with_capacity(
-        config.tolerance,
-        config.scheme,
-        alpha,
-        topology.len(),
-    );
-    let volatility = config.churn.as_ref().map(|plan| {
-        let vol = VolatilityState::shared(plan, alpha, config.scheme);
-        if let Some(handle) = &config.repartitioner {
-            vol.lock().set_repartitioner(handle.clone());
-        }
-        vol
-    });
-    // Wall-clock failure detection, as on the thread runtime: peers ping a
-    // run-local topology-manager server (initial ranks pre-registered; a
-    // joiner registers when its join fires); the monitor thread sweeps it
-    // for missed-ping evictions. Under the gossip control plane the ping
-    // server is retired for the run — eviction verdicts come from SWIM
-    // rumors, and the stop decision from the merged digests.
-    let gossip_fanout = config.control_plane.fanout();
-    let topo = if gossip_fanout.is_some() {
-        None
-    } else {
-        volatility
-            .as_ref()
-            .map(|_| detection::server_with_all_ranks(&config.topology, 1))
-    };
-    if gossip_fanout.is_some() {
-        shared.lock().set_distributed_decision(true);
-    }
-
-    // Bootstrap: bind the service port first so peers have a rendezvous.
-    let bootstrap_socket = UdpSocket::bind(SocketAddrV4::new(localhost(), 0))
-        .expect("bind bootstrap socket on localhost");
-    let bootstrap_addr = bootstrap_socket.local_addr().expect("bootstrap addr");
-    let bootstrap_stop = Arc::new(AtomicBool::new(false));
-    let bootstrap = bootstrap_service(bootstrap_socket, alpha, total, Arc::clone(&bootstrap_stop));
-
-    let start = Instant::now();
-    let task_factory = &task_factory;
-    let ports = std::sync::Mutex::new(vec![0u16; total]);
-    // Bumped on every write to `ports` (initial binds, recovery rebinds,
-    // joins). Peers poll it each drive turn and re-sync their address book
-    // from the shared table when it moves: the bootstrap's Table
-    // re-broadcast is a single unacked datagram the kernel may drop under
-    // load, and a peer that misses it would send ghosts to a recovered
-    // peer's dead port forever (the victim's freshness guard then rightly
-    // never reports stability again, so the run never stops).
-    let ports_version = std::sync::atomic::AtomicU64::new(0);
-    let dropped = std::sync::atomic::AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        if let (Some(vol), Some(topo)) = (&volatility, &topo) {
-            let vol = Arc::clone(vol);
-            let topo = Arc::clone(topo);
-            let shared = Arc::clone(&shared);
-            scope.spawn(move || detection::run_monitor(&vol, &topo, &shared, total, start));
-        }
-        for rank in 0..total {
-            let shared = Arc::clone(&shared);
-            let volatility: Option<SharedVolatility> = volatility.as_ref().map(Arc::clone);
-            let topo = topo.as_ref().map(Arc::clone);
-            let topology = topology.clone();
-            let scheme = config.scheme;
-            let max_relaxations = config.max_relaxations;
-            let seed = config.seed;
-            let (loss, reorder) = config.extras.impairment();
-            let ports = &ports;
-            let ports_version = &ports_version;
-            let dropped = &dropped;
-            scope.spawn(move || {
-                let mut engine = if rank < alpha {
-                    let mut engine = PeerEngine::new(
-                        rank,
-                        scheme,
-                        &topology,
-                        task_factory(rank),
-                        Arc::clone(&shared),
-                        max_relaxations,
-                    );
-                    if let Some(vol) = &volatility {
-                        engine.attach_volatility(Arc::clone(vol));
-                    }
-                    engine
-                } else {
-                    // A pre-provisioned join rank: no socket, no hello —
-                    // fully dormant until the seeded join fires. The run's
-                    // bootstrap table carries port 0 for it meanwhile. If
-                    // the run ends first, exit without ever having existed.
-                    let vol = volatility.as_ref().expect("join ranks imply churn");
-                    let engine = loop {
-                        if vol.lock().take_spawn_if(rank) {
-                            break PeerEngine::join_run(
-                                rank,
-                                scheme,
-                                &topology,
-                                Arc::clone(&shared),
-                                Arc::clone(vol),
-                                max_relaxations,
-                            );
-                        }
-                        if shared.stopped() {
-                            break None;
-                        }
-                        std::thread::sleep(Duration::from_millis(1));
-                    };
-                    let Some(engine) = engine else {
-                        return;
-                    };
-                    engine
-                };
-                let socket = UdpSocket::bind(SocketAddrV4::new(localhost(), 0))
-                    .expect("bind peer socket on localhost");
-                ports.lock().unwrap()[rank] = socket.local_addr().expect("peer local addr").port();
-                ports_version.fetch_add(1, Ordering::Release);
-                // A joiner's hello makes the bootstrap re-broadcast the
-                // table, so the already-running peers learn its port.
-                let addrs = discover_peers(&socket, rank, bootstrap_addr);
-                socket.set_nonblocking(true).expect("set nonblocking");
-                let mut heartbeat = Heartbeat::new(&topology, rank);
-                let mut transport = UdpTransport {
-                    rank,
-                    start,
-                    socket,
-                    addrs,
-                    // Per-rank stream so peers do not share drop decisions.
-                    shim: LossShim::new(seed.wrapping_add(rank as u64), loss, reorder),
-                    next_msg_id: 0,
-                    timers: TimerQueue::new(),
-                    compute_pending: false,
-                    topology: topology.clone(),
-                    next_send_ok: HashMap::new(),
-                    send_frame: Vec::new(),
-                };
-                // The gossip control plane: one SWIM node per peer, probing
-                // over this same socket (its own datagram kind, past the
-                // loss shim — gossip is the control path).
-                let mut gossip = gossip_fanout.map(|fanout| {
-                    GossipNode::new(rank, alpha, total, fanout, seed, GossipTiming::wall_clock())
-                });
-                let mut reassembler = Reassembler::new();
-                let mut buf = vec![0u8; 65536];
-                // Exponential sleep backoff for the idle path; any received
-                // datagram, due timer or pending compute resets it.
-                const BACKOFF_MIN: Duration = Duration::from_micros(20);
-                const BACKOFF_MAX: Duration = Duration::from_millis(2);
-                let mut backoff = BACKOFF_MIN;
-
-                if rank >= alpha {
-                    // The joiner announces itself to the failure detector.
-                    if let Some(topo) = &topo {
-                        heartbeat.rejoin(topo, start);
-                    }
-                }
-                engine.on_start(&mut transport);
-                let mut seen_ports_version = 0u64;
-                while !engine.finished() {
-                    // Heartbeat towards the failure detector.
-                    if let Some(topo) = &topo {
-                        heartbeat.beat(topo, start);
-                    }
-                    // Re-sync the address book from the shared port table
-                    // whenever any rank rebound (see `ports_version`): the
-                    // polling safety net behind the droppable Table
-                    // re-broadcast.
-                    let v = ports_version.load(Ordering::Acquire);
-                    if v != seen_ports_version {
-                        seen_ports_version = v;
-                        for (nb, &port) in ports.lock().unwrap().iter().enumerate() {
-                            if nb != rank && port != 0 {
-                                transport.addrs[nb] =
-                                    SocketAddr::V4(SocketAddrV4::new(localhost(), port));
-                            }
-                        }
-                    }
-                    // Gossip control plane: author the latest sweep, run the
-                    // probe cycle, feed death verdicts into the recovery
-                    // coordinator (level-triggered — `grant` no-ops unless
-                    // the rank really crashed), and evaluate the stop
-                    // decision over the merged digest.
-                    if let Some(g) = gossip.as_mut() {
-                        if let Some(sweep) = engine.sweep_summary() {
-                            g.record_sweep(&sweep);
-                        }
-                        let now = transport.now_ns();
-                        for (to, msg) in g.poll(now) {
-                            send_gossip(&transport.socket, &transport.addrs, rank, to, &msg);
-                        }
-                        if let Some(vol) = &volatility {
-                            for dead in g.dead_ranks() {
-                                vol.lock().grant(dead, &g.gossiped_loads(total));
-                            }
-                        }
-                        if g.decide(scheme, engine.generation()) {
-                            engine.on_distributed_decision(&mut transport);
-                            continue;
-                        }
-                    }
-                    // Drain everything the kernel has buffered (asynchronous
-                    // peers relax back-to-back, so fresh ghosts must be
-                    // picked up between sweeps).
-                    let mut received_any = false;
-                    loop {
-                        match transport.socket.recv_from(&mut buf) {
-                            Ok((len, _)) => {
-                                received_any = true;
-                                // Fragments (the data hot path) are parsed
-                                // borrowed and copied once, into a pooled
-                                // reassembly buffer; control datagrams take
-                                // the allocating decode.
-                                if let Some((from, msg_id, frag_index, frag_count, payload)) =
-                                    Datagram::fragment_fields(&buf[..len])
-                                {
-                                    if let Some((from, segment)) = reassembler
-                                        .push_ref(from, msg_id, frag_index, frag_count, payload)
-                                    {
-                                        engine.on_segment(from, segment, &mut transport);
-                                    }
-                                    continue;
-                                }
-                                match Datagram::decode(&buf[..len]) {
-                                    Some(Datagram::Stop { .. }) => {
-                                        engine.on_stop_signal(&mut transport);
-                                    }
-                                    Some(Datagram::Fragment { .. }) => {
-                                        unreachable!("fragments parsed above")
-                                    }
-                                    Some(Datagram::Rollback {
-                                        to_iteration,
-                                        generation,
-                                        ..
-                                    }) => {
-                                        engine.on_rollback(
-                                            to_iteration,
-                                            generation,
-                                            &mut transport,
-                                        );
-                                    }
-                                    // A table re-broadcast mid-run: a
-                                    // recovered peer rebound its socket and
-                                    // the bootstrap published its new port.
-                                    Some(Datagram::Table { ports })
-                                        if ports.len() == transport.addrs.len() =>
-                                    {
-                                        transport.addrs = ports
-                                            .into_iter()
-                                            .map(|p| {
-                                                SocketAddr::V4(SocketAddrV4::new(localhost(), p))
-                                            })
-                                            .collect();
-                                    }
-                                    Some(Datagram::Gossip { payload, .. }) => {
-                                        if let (Some(g), Some(msg)) =
-                                            (gossip.as_mut(), GossipMessage::decode(&payload))
-                                        {
-                                            let now = transport.now_ns();
-                                            for (to, reply) in g.on_message(&msg, now) {
-                                                send_gossip(
-                                                    &transport.socket,
-                                                    &transport.addrs,
-                                                    rank,
-                                                    to,
-                                                    &reply,
-                                                );
-                                            }
-                                        }
-                                    }
-                                    // Late bootstrap hellos or foreign
-                                    // noise: ignore.
-                                    _ => {}
-                                }
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                            Err(_) => break,
-                        }
-                    }
-                    if engine.finished() {
-                        break;
-                    }
-                    if let Some(key) = transport.pop_due_timer() {
-                        engine.on_timer(key, &mut transport);
-                        backoff = BACKOFF_MIN;
-                        continue;
-                    }
-                    if transport.compute_pending {
-                        transport.compute_pending = false;
-                        engine.on_compute_done(&mut transport);
-                        if engine.crashed() {
-                            // The peer died. Kill its socket for real: the
-                            // old port closes, in-flight datagrams to it are
-                            // dropped by the kernel, and neighbours' sends
-                            // go nowhere until the bootstrap publishes the
-                            // revived peer's new port. Timers die with it,
-                            // and it stops pinging — the topology manager
-                            // evicts it and the monitor grants recovery.
-                            transport.timers = TimerQueue::new();
-                            transport.socket = UdpSocket::bind(SocketAddrV4::new(localhost(), 0))
-                                .expect("bind replacement socket on localhost");
-                            reassembler = Reassembler::new();
-                            let granted = detection::await_recovery_grant(
-                                &volatility,
-                                &shared,
-                                rank,
-                                // The dead socket swallows traffic by itself;
-                                // nothing to drain while waiting.
-                                || {},
-                            );
-                            if granted {
-                                // Rejoin: announce the new socket to the
-                                // bootstrap (which re-broadcasts the table
-                                // to every peer), re-register with the
-                                // failure detector, restore.
-                                let addrs = discover_peers(&transport.socket, rank, bootstrap_addr);
-                                transport
-                                    .socket
-                                    .set_nonblocking(true)
-                                    .expect("set replacement socket nonblocking");
-                                transport.addrs = addrs;
-                                ports.lock().unwrap()[rank] = transport
-                                    .socket
-                                    .local_addr()
-                                    .expect("replacement local addr")
-                                    .port();
-                                ports_version.fetch_add(1, Ordering::Release);
-                                if let Some(topo) = &topo {
-                                    heartbeat.rejoin(topo, start);
-                                }
-                                engine.recover(&mut transport);
-                                // Refute the (correct) death verdict with a
-                                // bumped incarnation.
-                                if let Some(g) = gossip.as_mut() {
-                                    g.on_recovered();
-                                }
-                            } else {
-                                engine.on_stop_signal(&mut transport);
-                            }
-                            backoff = BACKOFF_MIN;
-                            continue;
-                        }
-                        backoff = BACKOFF_MIN;
-                        continue;
-                    }
-                    // Another peer may have stopped the run while this one
-                    // was idling in a scheme wait (or its stop datagram was
-                    // still in flight).
-                    if shared.stopped() {
-                        engine.on_stop_signal(&mut transport);
-                        continue;
-                    }
-                    // The rollback broadcast is a single datagram the kernel
-                    // may drop under load; a peer stranded on an old
-                    // generation would report into the void forever. Poll
-                    // the detector's published rollback as the safety net,
-                    // exactly like the stop poll above.
-                    engine.poll_rollback(&mut transport);
-                    // Adopt a pending asynchronous/hybrid re-slice while
-                    // idle (the engine also polls between sweeps).
-                    engine.poll_membership(&mut transport);
-                    if engine.computing() {
-                        backoff = BACKOFF_MIN;
-                        continue;
-                    }
-                    if received_any {
-                        backoff = BACKOFF_MIN;
-                        continue;
-                    }
-                    std::thread::sleep(backoff);
-                    backoff = (backoff * 2).min(BACKOFF_MAX);
-                }
-                transport.shim.flush(&transport.socket);
-                dropped.fetch_add(transport.shim.dropped, Ordering::Relaxed);
-            });
-        }
-    });
-    bootstrap_stop.store(true, Ordering::Relaxed);
-    let _ = bootstrap.join();
-
-    let fallback_now = start.elapsed().as_nanos() as u64;
-    let (mut measurement, results) = shared
-        .lock()
-        .finish_run(fallback_now, config.max_relaxations);
-    if let Some(vol) = &volatility {
-        vol.lock().annotate(&mut measurement);
-    }
-    UdpRunOutcome {
-        measurement,
-        results,
-        ports: ports.into_inner().unwrap(),
-        datagrams_dropped: dropped.load(Ordering::Relaxed),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runtime::engine::testing::RampTask;
+    use crate::runtime::reactor::{run_iterative_reactor, ReactorRunOutcome};
+    use crate::{BackendExtras, RunConfig};
     use p2psap::Scheme;
-
-    const RAMP: u64 = 10;
-
-    fn run(config: &RunConfig) -> UdpRunOutcome {
-        let peers = config.topology.len();
-        run_iterative_udp(config, |rank| Box::new(RampTask::line(rank, peers, RAMP)))
-    }
 
     #[test]
     fn fragment_datagram_round_trip() {
@@ -1422,11 +919,24 @@ mod tests {
         assert_ne!(seen, sorted, "delivery order was perturbed");
     }
 
+    const RAMP: u64 = 10;
+
+    /// Drives a ramp task over the UDP wire in the thread-per-peer shape:
+    /// the reactor with one event loop per peer.
+    fn run(mut config: RunConfig, loss: f64, reorder: f64) -> ReactorRunOutcome {
+        let peers = config.topology.len();
+        config = config.with_extras(BackendExtras::Reactor {
+            event_loops: peers,
+            loss_probability: loss,
+            reorder_probability: reorder,
+        });
+        config.tolerance = 0.5;
+        run_iterative_reactor(&config, |rank| Box::new(RampTask::line(rank, peers, RAMP)))
+    }
+
     #[test]
     fn synchronous_scheme_over_udp_runs_in_lockstep() {
-        let mut config = RunConfig::quick(Scheme::Synchronous, 3);
-        config.tolerance = 0.5;
-        let outcome = run(&config);
+        let outcome = run(RunConfig::quick(Scheme::Synchronous, 3), 0.0, 0.0);
         assert!(outcome.measurement.converged);
         // Lockstep counts: the convergence iteration is the ramp length;
         // before the stop lands a wall-clock peer can overshoot it by at
@@ -1458,9 +968,7 @@ mod tests {
 
     #[test]
     fn asynchronous_scheme_over_udp_converges() {
-        let mut config = RunConfig::quick(Scheme::Asynchronous, 3);
-        config.tolerance = 0.5;
-        let outcome = run(&config);
+        let outcome = run(RunConfig::quick(Scheme::Asynchronous, 3), 0.0, 0.0);
         assert!(outcome.measurement.converged);
         for &count in &outcome.measurement.relaxations_per_peer {
             assert!(count >= RAMP, "peer finished early: {count} < {RAMP}");
@@ -1469,9 +977,7 @@ mod tests {
 
     #[test]
     fn hybrid_scheme_over_udp_converges_across_two_clusters() {
-        let mut config = RunConfig::quick_two_clusters(Scheme::Hybrid, 4);
-        config.tolerance = 0.5;
-        let outcome = run(&config);
+        let outcome = run(RunConfig::quick_two_clusters(Scheme::Hybrid, 4), 0.0, 0.0);
         assert!(outcome.measurement.converged);
         assert_eq!(outcome.results.len(), 4);
     }
@@ -1480,13 +986,7 @@ mod tests {
     fn synchronous_scheme_survives_a_lossy_link() {
         // The reliable synchronous channel retransmits dropped segments, so
         // the run still converges in lockstep over a 10%-loss path.
-        let mut config =
-            RunConfig::quick(Scheme::Synchronous, 2).with_extras(crate::BackendExtras::Udp {
-                loss_probability: 0.1,
-                reorder_probability: 0.1,
-            });
-        config.tolerance = 0.5;
-        let outcome = run(&config);
+        let outcome = run(RunConfig::quick(Scheme::Synchronous, 2), 0.1, 0.1);
         assert!(outcome.measurement.converged);
         for &count in &outcome.measurement.relaxations_per_peer {
             assert!(

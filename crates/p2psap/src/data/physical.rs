@@ -4,7 +4,7 @@
 //! protocol per network type — Ethernet, InfiniBand, Myrinet) and a transport
 //! layer. Switching networks substitutes one physical composite for another.
 //! In this reproduction the wire itself is the `netsim` fabric (or an
-//! in-process channel in the thread runtime); the physical composite adapts
+//! in-process queue, or a localhost UDP socket); the physical composite adapts
 //! between the transport layer and that wire and carries the network-type
 //! identity used by reconfiguration.
 

@@ -1,10 +1,11 @@
-//! Crash and recover a peer mid-run on the thread backend.
+//! Crash and recover a peer mid-run on the reactor backend.
 //!
-//! One OS thread per peer solves the obstacle problem asynchronously; a
-//! seeded churn plan kills one peer partway through. The dead peer stops
-//! pinging the run's topology manager, is evicted after three missed ping
-//! periods, and the recovery path restarts its block from the latest live
-//! checkpoint — the run still converges to the fault-free residual quality.
+//! Peers on real localhost UDP sockets solve the obstacle problem
+//! asynchronously; a seeded churn plan kills one peer partway through. The
+//! dead peer's socket closes, it stops pinging the run's topology manager,
+//! is evicted after three missed ping periods, and the recovery path
+//! restarts its block from the latest live checkpoint — the run still
+//! converges to the fault-free residual quality.
 //!
 //! ```text
 //! cargo run --release -p apps --example churn
@@ -19,7 +20,7 @@ fn main() {
 
     // Fault-free baseline: how many relaxations does the solve take?
     let clean = RunConfig::quick(Scheme::Asynchronous, peers);
-    let baseline = run_on(workload.as_ref(), &clean, RuntimeKind::Threads);
+    let baseline = run_on(workload.as_ref(), &clean, RuntimeKind::Reactor);
     let baseline_iters = baseline
         .measurement
         .relaxations_per_peer
@@ -34,7 +35,7 @@ fn main() {
         baseline.measurement.residual,
     );
 
-    // Kill peer 1 early in the run. Thread-backend relaxation counts vary
+    // Kill peer 1 early in the run. Wall-clock relaxation counts vary
     // with the scheduler, so the crash point is clamped well below any
     // plausible convergence iteration — the victim must actually reach it,
     // or no crash fires.
@@ -43,7 +44,7 @@ fn main() {
         .clone()
         .with_churn(ChurnPlan::kill(1, crash_at).with_checkpoint_interval((crash_at / 2).max(1)));
     println!("\ninjecting: crash of rank 1 after {crash_at} relaxations ...");
-    let result = run_on(workload.as_ref(), &faulty, RuntimeKind::Threads);
+    let result = run_on(workload.as_ref(), &faulty, RuntimeKind::Reactor);
     println!(
         "with churn: converged={} crashes={} recoveries={} rollbacks={} downtime={:.1}ms",
         result.measurement.converged,

@@ -1,7 +1,8 @@
 //! Heat cluster: solve the 2-D steady-state heat equation with P2PDC on the
-//! thread runtime (real OS threads, one per peer) through the
-//! workload-generic experiment driver, and compare the distributed
-//! temperature field with the sequential Jacobi baseline.
+//! reactor runtime (real localhost UDP sockets, peers multiplexed onto
+//! event-loop threads) through the workload-generic experiment driver, and
+//! compare the distributed temperature field with the sequential Jacobi
+//! baseline.
 //!
 //! ```text
 //! cargo run --release --example heat_cluster
@@ -12,14 +13,14 @@ use p2pdc::{run_on, solve_heat_sequential, RunConfig, RuntimeKind, Scheme, Workl
 fn main() {
     let n = 24;
     let peers = 4;
-    println!("P2PDC heat cluster: {n}x{n} plate on {peers} peers (thread runtime)");
+    println!("P2PDC heat cluster: {n}x{n} plate on {peers} peers (reactor runtime)");
 
     // The workload abstraction packages the application's three functions —
     // problem definition, per-peer Calculate(), results aggregation — so the
     // same run_on call works for any workload on any backend.
     let workload = WorkloadKind::Heat.build(n, peers);
     let config = RunConfig::quick(Scheme::Synchronous, peers);
-    let result = run_on(workload.as_ref(), &config, RuntimeKind::Threads);
+    let result = run_on(workload.as_ref(), &config, RuntimeKind::Reactor);
 
     println!(
         "converged: {} after {} relaxations/peer (max), wall {:.3} s",

@@ -1,6 +1,7 @@
-//! Quickstart: solve a small 3-D obstacle problem with P2PDC on the thread
-//! runtime (real OS threads, one per peer) and compare the distributed
-//! solution with the sequential baseline.
+//! Quickstart: solve a small 3-D obstacle problem with P2PDC on the reactor
+//! runtime (real localhost UDP sockets, peers multiplexed onto event-loop
+//! threads) and compare the distributed solution with the sequential
+//! baseline.
 //!
 //! ```text
 //! cargo run --release --example quickstart
@@ -14,7 +15,7 @@ use p2pdc::{
 fn main() {
     let n = 16;
     let peers = 4;
-    println!("P2PDC quickstart: {n}^3 obstacle problem on {peers} peers (thread runtime)");
+    println!("P2PDC quickstart: {n}^3 obstacle problem on {peers} peers (reactor runtime)");
 
     // The application side of the programming model: the workload supplies
     // the per-peer Calculate() (an ObstacleTask); the environment drives the
@@ -32,7 +33,7 @@ fn main() {
     });
     let problem = workload.problem();
     let config = RunConfig::quick(scheme, peers);
-    let result = run_on(&workload, &config, RuntimeKind::Threads);
+    let result = run_on(&workload, &config, RuntimeKind::Reactor);
 
     println!(
         "converged: {} in {:.3} s wall-clock, relaxations per peer: {:?}",

@@ -1,7 +1,7 @@
 //! 256 peers on one machine: the reactor backend multiplexes every peer's
 //! nonblocking UDP socket onto a few event loops, so a peer population two
-//! orders of magnitude beyond the thread backend's comfort zone still runs
-//! as a handful of OS threads.
+//! orders of magnitude beyond one OS thread per peer still runs as a
+//! handful of OS threads.
 //!
 //! The run solves the obstacle problem asynchronously and survives a seeded
 //! mid-run crash: the victim is evicted through missed pings, its block is

@@ -62,7 +62,7 @@ fn loopback_and_sim_agree_on_recovery_counts_for_the_same_seeded_crash() {
 }
 
 /// An asynchronous obstacle run with one peer killed at ~30% progress meets
-/// the same residual tolerance as the fault-free run, on all four backends —
+/// the same residual tolerance as the fault-free run, on every backend —
 /// the paper's headline fault-tolerance claim.
 #[test]
 fn async_obstacle_run_survives_a_mid_run_crash_on_every_backend() {
@@ -180,14 +180,10 @@ fn hybrid_two_cluster_run_absorbs_a_crash_without_rollback() {
     let mut faulty = clean.clone();
     faulty.churn =
         Some(ChurnPlan::kill(2, crash_at).with_checkpoint_interval((crash_at / 2).max(1)));
-    // Threads is the wall-clock case: an update lost with the dead peer's
-    // inbox must come back through the reliable channel's real-time
+    // The reactor is the wall-clock case: an update lost with the dead
+    // peer's socket must come back through the reliable channel's real-time
     // retransmission, or the victim's intra-cluster edge would deadlock.
-    for runtime in [
-        RuntimeKind::Loopback,
-        RuntimeKind::Sim,
-        RuntimeKind::Threads,
-    ] {
+    for runtime in RuntimeKind::ALL {
         let clean_result = run_on(workload.as_ref(), &clean, runtime);
         let result = run_on(workload.as_ref(), &faulty, runtime);
         assert!(result.measurement.converged, "{runtime} did not converge");
@@ -228,10 +224,10 @@ fn sync_crash_over_real_udp_sockets_recovers_via_rollback() {
     let mut faulty = clean.clone();
     faulty.churn =
         Some(ChurnPlan::kill(1, crash_at).with_checkpoint_interval((crash_at / 2).max(1)));
-    let result = run_on(workload.as_ref(), &faulty, RuntimeKind::Udp);
+    let result = run_on(workload.as_ref(), &faulty, RuntimeKind::Reactor);
     assert!(
         result.measurement.converged,
-        "udp churn run did not converge"
+        "reactor churn run did not converge"
     );
     assert_eq!(result.measurement.crashes, 1);
     assert_eq!(result.measurement.recoveries, 1);
@@ -294,7 +290,7 @@ fn heat_and_pagerank_survive_crashes_through_their_restore_hooks() {
 
 /// The acceptance scenario of the elastic-membership subsystem: a seeded
 /// plan with one crash *and* one join, with live repartitioning armed,
-/// converges on all four backends; the measurement reports the join and at
+/// converges on every backend; the measurement reports the join and at
 /// least one applied re-slice (the recovery's and/or the join's).
 #[test]
 fn seeded_crash_plus_join_converges_with_repartition_on_every_backend() {
@@ -372,7 +368,7 @@ fn seeded_crash_plus_join_converges_with_repartition_on_every_backend() {
 /// repartitioned recovery *and* a join: the re-slice restores every peer
 /// onto one common global iterate (ghosts included) and the sweep sequence
 /// of a synchronous run does not depend on the decomposition, so loopback,
-/// sim and real-socket UDP agree on the convergence iteration even though
+/// sim and the real-socket reactor agree on the convergence iteration even though
 /// their capacity estimates (and hence their new partitions) differ.
 #[test]
 fn repartitioned_sync_run_keeps_cross_runtime_relaxation_agreement() {
@@ -397,32 +393,36 @@ fn repartitioned_sync_run_keeps_cross_runtime_relaxation_agreement() {
             .with_repartition(true)
             .with_join(1, join_at),
     );
-    let counts: Vec<u64> = [RuntimeKind::Loopback, RuntimeKind::Sim, RuntimeKind::Udp]
-        .into_iter()
-        .map(|runtime| {
-            let result = run_on(workload.as_ref(), &faulty, runtime);
-            assert!(result.measurement.converged, "{runtime} did not converge");
-            assert_eq!(result.measurement.joins, 1, "{runtime} joins");
-            assert!(result.measurement.repartitions >= 1, "{runtime}");
-            // The convergence iteration: the smallest final counter (the
-            // detecting peer stops exactly there; others may overshoot by
-            // the in-flight sweep).
-            result
-                .measurement
-                .relaxations_per_peer
-                .iter()
-                .min()
-                .copied()
-                .unwrap()
-        })
-        .collect();
+    let counts: Vec<u64> = [
+        RuntimeKind::Loopback,
+        RuntimeKind::Sim,
+        RuntimeKind::Reactor,
+    ]
+    .into_iter()
+    .map(|runtime| {
+        let result = run_on(workload.as_ref(), &faulty, runtime);
+        assert!(result.measurement.converged, "{runtime} did not converge");
+        assert_eq!(result.measurement.joins, 1, "{runtime} joins");
+        assert!(result.measurement.repartitions >= 1, "{runtime}");
+        // The convergence iteration: the smallest final counter (the
+        // detecting peer stops exactly there; others may overshoot by
+        // the in-flight sweep).
+        result
+            .measurement
+            .relaxations_per_peer
+            .iter()
+            .min()
+            .copied()
+            .unwrap()
+    })
+    .collect();
     assert_eq!(
         counts[0], counts[1],
         "loopback vs sim disagree on the repartitioned convergence iteration"
     );
     assert_eq!(
         counts[0], counts[2],
-        "loopback vs udp disagree on the repartitioned convergence iteration"
+        "loopback vs reactor disagree on the repartitioned convergence iteration"
     );
 }
 
@@ -455,9 +455,9 @@ fn join_mid_run_over_real_udp_sockets() {
             .with_checkpoint_interval((join_at / 2).max(1))
             .with_join(0, join_at),
     );
-    let result = run_on(workload.as_ref(), &faulty, RuntimeKind::Udp);
+    let result = run_on(workload.as_ref(), &faulty, RuntimeKind::Reactor);
     let m = &result.measurement;
-    assert!(m.converged, "udp join run did not converge");
+    assert!(m.converged, "reactor join run did not converge");
     assert_eq!(m.crashes, 0);
     assert_eq!(m.joins, 1);
     assert_eq!(m.repartitions, 1);
@@ -482,11 +482,7 @@ fn per_peer_throughput_estimates_are_live() {
     let peers = 2;
     let workload = WorkloadKind::Obstacle.build(8, peers);
     let config = obstacle_config(Scheme::Synchronous, peers);
-    for runtime in [
-        RuntimeKind::Loopback,
-        RuntimeKind::Sim,
-        RuntimeKind::Threads,
-    ] {
+    for runtime in RuntimeKind::ALL {
         let result = run_on(workload.as_ref(), &config, runtime);
         assert_eq!(
             result.measurement.points_per_sec.len(),

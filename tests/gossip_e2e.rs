@@ -18,7 +18,7 @@ fn min_relaxations(m: &RunMeasurement) -> u64 {
 }
 
 /// Gossip vs centralized on the synchronous scheme, for all three workloads
-/// on all four e2e backends: both converge, and the gossip stop never fires
+/// on every backend: both converge, and the gossip stop never fires
 /// earlier than the centralized one (with a bounded decision lag).
 #[test]
 fn gossip_sync_decision_is_lossless_on_every_backend_and_workload() {
@@ -34,7 +34,6 @@ fn gossip_sync_decision_is_lossless_on_every_backend_and_workload() {
         for runtime in [
             RuntimeKind::Loopback,
             RuntimeKind::Sim,
-            RuntimeKind::Udp,
             RuntimeKind::Reactor,
         ] {
             let centralized = run_on(workload.as_ref(), &config, runtime);
@@ -71,7 +70,7 @@ fn gossip_sync_decision_is_lossless_on_every_backend_and_workload() {
     }
 }
 
-/// A mid-run crash on the wall-clock backends with the ping server retired:
+/// A mid-run crash on the wall-clock backend with the ping server retired:
 /// the victim's recovery can only be granted through SWIM death verdicts
 /// (there is no monitor thread under gossip), so a completed recovery
 /// proves gossip-only eviction end to end.
@@ -81,23 +80,20 @@ fn gossip_only_eviction_recovers_a_crashed_peer_on_wall_clock_backends() {
     let workload = WorkloadKind::Obstacle.build(10, peers);
     let mut config = RunConfig::quick(Scheme::Asynchronous, peers).with_gossip(2);
     config.churn = Some(ChurnPlan::kill(1, 12).with_checkpoint_interval(5));
-    for runtime in [RuntimeKind::Udp, RuntimeKind::Reactor] {
-        let result = run_on(workload.as_ref(), &config, runtime);
-        let m = &result.measurement;
-        let label = runtime.label();
-        assert!(m.converged, "{label}: faulty gossip run did not converge");
-        assert_eq!(m.crashes, 1, "{label}: crash count");
-        assert_eq!(
-            m.recoveries, 1,
-            "{label}: the victim was not revived — SWIM eviction never granted recovery"
-        );
-        assert!(m.downtime_s > 0.0, "{label}: downtime not measured");
-        assert!(
-            m.residual < config.tolerance * 10.0,
-            "{label}: residual {} exceeds the async staleness bound",
-            m.residual
-        );
-    }
+    let result = run_on(workload.as_ref(), &config, RuntimeKind::Reactor);
+    let m = &result.measurement;
+    assert!(m.converged, "faulty gossip run did not converge");
+    assert_eq!(m.crashes, 1, "crash count");
+    assert_eq!(
+        m.recoveries, 1,
+        "the victim was not revived — SWIM eviction never granted recovery"
+    );
+    assert!(m.downtime_s > 0.0, "downtime not measured");
+    assert!(
+        m.residual < config.tolerance * 10.0,
+        "residual {} exceeds the async staleness bound",
+        m.residual
+    );
 }
 
 /// The seeded backends stay bit-for-bit deterministic under gossip: same

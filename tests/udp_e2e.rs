@@ -1,7 +1,7 @@
-//! End-to-end tests of the UDP runtime: the obstacle application running
-//! over real localhost sockets, checked for agreement with the in-process
-//! backends. These are the tests CI's `udp-e2e` job runs with a hard
-//! timeout (a hung handshake must fail fast, not stall the workflow).
+//! End-to-end tests of the real-socket wire: the obstacle application
+//! running on the reactor over localhost UDP, checked for agreement with the
+//! in-process backends. These are the tests CI's `socket-e2e` job runs with
+//! a hard timeout (a hung handshake must fail fast, not stall the workflow).
 
 use p2pdc::{
     run_obstacle_on, run_on, BackendExtras, ObstacleExperiment, ObstacleInstance, ObstacleParams,
@@ -9,24 +9,31 @@ use p2pdc::{
 };
 
 /// Fixed-seed cross-runtime agreement: the synchronous scheme converges at
-/// a problem-determined iteration, so the loopback and UDP backends must
-/// agree on it. The peer that *detects* convergence stops at exactly that
-/// iteration, making the per-run **minimum** relaxation count the
-/// runtime-independent invariant. Individual wall-clock peers may overshoot
-/// it: a peer only waits on its direct neighbours, so before the stop
-/// broadcast lands it can run ahead of the slowest peer by up to the
-/// topology diameter (observed +2 on a loaded 4-peer line).
+/// a problem-determined iteration, so loopback and the reactor must agree on
+/// it. The peer that *detects* convergence stops at exactly that iteration,
+/// making the per-run **minimum** relaxation count the runtime-independent
+/// invariant. Individual wall-clock peers may overshoot it: a peer only
+/// waits on its direct neighbours, so before the stop broadcast lands it can
+/// run ahead of the slowest peer by up to the topology diameter (observed +2
+/// on a loaded 4-peer line). The reactor runs one event loop per peer here:
+/// every peer on its own OS thread and socket.
 #[test]
 fn udp_and_loopback_agree_on_synchronous_relaxation_counts() {
     let exp = ObstacleExperiment::new(10, Scheme::Synchronous, 4, 1);
     let loopback = run_obstacle_on(&exp, RuntimeKind::Loopback);
-    let udp = run_obstacle_on(&exp, RuntimeKind::Udp);
+    let (workload, config) = exp.workload_and_config();
+    let config = config.with_extras(BackendExtras::Reactor {
+        event_loops: exp.peers,
+        loss_probability: 0.0,
+        reorder_probability: 0.0,
+    });
+    let udp = run_on(&workload, &config, RuntimeKind::Reactor);
     assert!(loopback.measurement.converged && udp.measurement.converged);
     let min = |m: &p2pdc::RunMeasurement| m.relaxations_per_peer.iter().copied().min().unwrap_or(0);
     assert_eq!(
         min(&loopback.measurement),
         min(&udp.measurement),
-        "the convergence iteration differs: loopback {:?} vs udp {:?}",
+        "the convergence iteration differs: loopback {:?} vs reactor {:?}",
         loopback.measurement.relaxations_per_peer,
         udp.measurement.relaxations_per_peer
     );
@@ -34,14 +41,14 @@ fn udp_and_loopback_agree_on_synchronous_relaxation_counts() {
     let peers = exp.peers as u64;
     assert!(
         udp.measurement.max_relaxations() < min(&udp.measurement) + peers,
-        "udp overshoot beyond the topology diameter: {:?}",
+        "reactor overshoot beyond the topology diameter: {:?}",
         udp.measurement.relaxations_per_peer
     );
     // Both backends assemble a solution satisfying the fixed-point equation.
     assert!(loopback.measurement.residual < exp.tolerance * 2.0);
     assert!(
         udp.measurement.residual < exp.tolerance * 2.0,
-        "udp residual {}",
+        "reactor residual {}",
         udp.measurement.residual
     );
 }
@@ -53,13 +60,13 @@ fn udp_and_loopback_agree_on_synchronous_relaxation_counts() {
 fn multi_fragment_boundary_planes_reassemble_end_to_end() {
     let exp = ObstacleExperiment::new(16, Scheme::Synchronous, 2, 1);
     let loopback = run_obstacle_on(&exp, RuntimeKind::Loopback);
-    let udp = run_obstacle_on(&exp, RuntimeKind::Udp);
+    let udp = run_obstacle_on(&exp, RuntimeKind::Reactor);
     assert!(udp.measurement.converged);
     assert!(
         (udp.measurement.max_relaxations() as i64 - loopback.measurement.max_relaxations() as i64)
             .abs()
             <= 1,
-        "fragmented run diverged: udp {:?} vs loopback {:?}",
+        "fragmented run diverged: reactor {:?} vs loopback {:?}",
         udp.measurement.relaxations_per_peer,
         loopback.measurement.relaxations_per_peer
     );
@@ -81,12 +88,13 @@ fn asynchronous_two_cluster_run_tolerates_real_datagram_loss() {
         instance: ObstacleInstance::Membrane,
     });
     let config = RunConfig::quick_two_clusters(Scheme::Asynchronous, peers).with_extras(
-        BackendExtras::Udp {
+        BackendExtras::Reactor {
+            event_loops: 0,
             loss_probability: 0.05,
             reorder_probability: 0.05,
         },
     );
-    let result = run_on(&workload, &config, RuntimeKind::Udp);
+    let result = run_on(&workload, &config, RuntimeKind::Reactor);
     assert!(result.measurement.converged, "lossy run did not converge");
     assert!(
         result.datagrams_dropped > 0,
@@ -104,7 +112,7 @@ fn asynchronous_two_cluster_run_tolerates_real_datagram_loss() {
 #[test]
 fn hybrid_scheme_converges_over_udp_across_two_clusters() {
     let exp = ObstacleExperiment::new(10, Scheme::Hybrid, 4, 2);
-    let result = run_obstacle_on(&exp, RuntimeKind::Udp);
+    let result = run_obstacle_on(&exp, RuntimeKind::Reactor);
     assert!(result.measurement.converged);
     assert_eq!(result.measurement.peers, 4);
     assert!(
