@@ -202,6 +202,20 @@ fn run_gossip() {
         eprintln!("WARNING: a gossip cell failed to converge");
         std::process::exit(1);
     }
+    // A churn cell that stops before its seeded crash leaves the detection
+    // gate below nothing to compare.
+    if let Some(r) = result
+        .rows
+        .iter()
+        .find(|r| r.churn && (r.crashes, r.recoveries) != (1, 1))
+    {
+        eprintln!(
+            "WARNING: the {} churn cell on {} at {} peers saw {} crashes and {} recoveries, \
+             expected one of each",
+            r.control, r.runtime, r.peers, r.crashes, r.recoveries
+        );
+        std::process::exit(1);
+    }
     // Smoke assertion: SWIM failure detection must stay within 5x of the
     // centralized missed-ping sweep on every paired churn cell. Latencies
     // under the protocol's own escalation floor are exempt: suspicion takes

@@ -1561,6 +1561,10 @@ pub struct GossipBenchRow {
     pub rumors_received: u64,
     pub row_merges: u64,
     pub death_verdicts: u64,
+    /// Digest pushes sent outside the probe cycle (schema v2; absent, so
+    /// 0, in v1 artifacts).
+    #[serde(default)]
+    pub pushes_sent: u64,
     /// `min_relaxations` minus the paired centralized run's — the decision
     /// lag the digest pays for decentralization (0 on centralized rows).
     pub decision_lag_relaxations: i64,
@@ -1595,7 +1599,9 @@ pub fn run_gossip_once(
         config = config.with_gossip(fanout);
     }
     if churn {
-        config = config.with_churn(ChurnPlan::kill(peers / 2, 12).with_checkpoint_interval(5));
+        // Halfway through the ~12 sweeps a cell runs: a later crash can fall
+        // after a fast stop decision, and the cell then detects nothing.
+        config = config.with_churn(ChurnPlan::kill(peers / 2, 6).with_checkpoint_interval(5));
     }
     p2pdc::gossip::stats::reset();
     let started = Instant::now();
@@ -1624,6 +1630,7 @@ pub fn run_gossip_once(
         rumors_received: counters.rumors_received,
         row_merges: counters.row_merges,
         death_verdicts: counters.death_verdicts,
+        pushes_sent: counters.pushes_sent,
         decision_lag_relaxations: 0,
     }
 }
@@ -1670,7 +1677,7 @@ pub fn run_gossip_grid() -> GossipGridResult {
         &mut rows,
     );
     GossipGridResult {
-        schema_version: 1,
+        schema_version: 2,
         rows,
     }
 }
@@ -1679,7 +1686,7 @@ pub fn run_gossip_grid() -> GossipGridResult {
 pub fn format_gossip(result: &GossipGridResult) -> String {
     let mut out = String::from("== Gossip control plane: scheme x runtime x fanout grid ==\n");
     out.push_str(&format!(
-        "{:<10} {:<14} {:<12} {:<7} {:<6} {:<6} {:>10} {:>11} {:>8} {:>8} {:>8} {:>7} {:>9} {:>6}\n",
+        "{:<10} {:<14} {:<12} {:<7} {:<6} {:<6} {:>10} {:>11} {:>8} {:>8} {:>8} {:>8} {:>7} {:>9} {:>6}\n",
         "runtime",
         "scheme",
         "control",
@@ -1690,6 +1697,7 @@ pub fn format_gossip(result: &GossipGridResult) -> String {
         "relax(min)",
         "lag",
         "probes",
+        "pushes",
         "rumors",
         "merges",
         "detect[s]",
@@ -1697,7 +1705,7 @@ pub fn format_gossip(result: &GossipGridResult) -> String {
     ));
     for r in &result.rows {
         out.push_str(&format!(
-            "{:<10} {:<14} {:<12} {:<7} {:<6} {:<6} {:>10.3} {:>11} {:>8} {:>8} {:>8} {:>7} {:>9.3} {:>6}\n",
+            "{:<10} {:<14} {:<12} {:<7} {:<6} {:<6} {:>10.3} {:>11} {:>8} {:>8} {:>8} {:>8} {:>7} {:>9.3} {:>6}\n",
             r.runtime,
             r.scheme,
             r.control,
@@ -1708,6 +1716,7 @@ pub fn format_gossip(result: &GossipGridResult) -> String {
             r.min_relaxations,
             r.decision_lag_relaxations,
             r.probes_sent,
+            r.pushes_sent,
             r.rumors_sent,
             r.row_merges,
             r.detection_latency_s,
@@ -1737,12 +1746,12 @@ mod tests {
             "gossip stopped on weaker evidence than the central fold"
         );
         let result = GossipGridResult {
-            schema_version: 1,
+            schema_version: 2,
             rows: vec![centralized, gossip],
         };
         let json = serde_json::to_string(&result).unwrap();
         let back: GossipGridResult = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.schema_version, 1);
+        assert_eq!(back.schema_version, 2);
         assert_eq!(back.rows.len(), 2);
         assert_eq!(back.rows[1].control, "gossip");
         assert_eq!(back.rows[1].fanout, 2);

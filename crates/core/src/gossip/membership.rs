@@ -11,6 +11,19 @@
 //! centralized `TopologyManager::evictions_since` sweep used to hand over
 //! (the recovery path downstream of the verdict is unchanged).
 //!
+//! Digest rows also travel outside the probe cycle. When sweeps outpace the
+//! probe period (a localhost synchronous sweep takes about 0.1 ms, a probe
+//! period 10 ms), a node whose own row is clean or stable and has advanced
+//! at least `PUSH_MIN_ADVANCE` (2) iterations past the last message that
+//! carried it pushes the digest to `fanout` members as an unsolicited ack
+//! of itself, at most once per `probe_period / PUSH_RATE_DIVISOR`. Without
+//! it the stop decision lags the central fold by every sweep run while
+//! rows wait for the next probe. A push's digest window starts at the own
+//! row, so it carries that row however wide the digest is. On the
+//! simulated WAN a round outlasts the probe period, every row rides a
+//! probe first, and no push fires; a single-cluster simulated LAN sweeps
+//! faster than it probes and does push.
+//!
 //! The node is sans-io like the engine: `poll`/`on_message` return the
 //! messages to send and the driver owns delivery, so the same state machine
 //! runs over real sockets (reactor) and the deterministic substrates
@@ -18,7 +31,7 @@
 //! same-seed runs replay exactly.
 
 use crate::gossip::aggregation::{ConvergenceDigest, SweepSummary};
-use crate::gossip::rumor::{DigestRow, GossipKind, GossipMessage, MemberStatus, Rumor};
+use crate::gossip::rumor::{DigestRow, GossipKind, GossipMessage, MemberStatus, Rumor, ROW_STABLE};
 use crate::load_balance::PeerLoad;
 use p2psap::Scheme;
 use rand::{RngCore, SeedableRng};
@@ -52,6 +65,18 @@ const DEAD_REPROBE_PERIOD: u64 = 4;
 /// false suspicion). A seeded 32-row subset per message keeps datagrams
 /// ~1.5 KiB and anti-entropy completes across successive exchanges.
 const MAX_ROWS_PER_MESSAGE: usize = 32;
+
+/// A digest push (see [`GossipNode::poll`]) fires only once the node's own
+/// row has advanced this many iterations past the last message that
+/// carried it: a row one sweep newer than what peers already hold is not
+/// worth an extra datagram. At 1 the push also fires on the simulated
+/// WAN, where the probe cycle already keeps up with the sweeps.
+const PUSH_MIN_ADVANCE: u64 = 2;
+
+/// Digest pushes are rate-limited to one per `probe_period / this`: a
+/// coarser limit leaves localhost stop decisions tens of sweeps late, a
+/// finer one spends more datagrams for a few sweeps less lag.
+const PUSH_RATE_DIVISOR: u64 = 10;
 
 /// The gossip cadence and failure-detection windows, in the driving
 /// substrate's clock units (wall nanoseconds, virtual nanoseconds, or
@@ -130,6 +155,10 @@ pub struct GossipNode {
     next_probe_at: u64,
     /// Probe rounds completed (drives the [`DEAD_REPROBE_PERIOD`] cadence).
     rounds: u64,
+    /// `latest` of this node's own row in the last message that carried it.
+    carried_latest: u64,
+    /// Earliest instant of the next digest push.
+    next_push_at: u64,
     /// Scratch for fanout selection.
     eligible: Vec<usize>,
 }
@@ -176,6 +205,8 @@ impl GossipNode {
             digest: ConvergenceDigest::new(capacity),
             next_probe_at: 0,
             rounds: 0,
+            carried_latest: 0,
+            next_push_at: 0,
             eligible: Vec::new(),
         }
     }
@@ -385,6 +416,24 @@ impl GossipNode {
                 }
             }
         }
+        // Digest push (see the module docs): when sweeps outpace the probe
+        // cadence, the stop decision would otherwise wait on rows that
+        // travel once per probe period. An ack of itself asks no reply.
+        let own = *self.digest.row(self.rank);
+        let evidence = own.clean_since != u64::MAX || own.flags & ROW_STABLE != 0;
+        if evidence
+            && own.latest >= self.carried_latest + PUSH_MIN_ADVANCE
+            && now >= self.next_push_at
+        {
+            self.next_push_at = now + (self.timing.probe_period / PUSH_RATE_DIVISOR).max(1);
+            for target in self.pick_targets(now, None) {
+                stats::count_push();
+                // The push exists to carry the own row: its digest window
+                // starts there even when the digest exceeds one message.
+                let push = self.message_from(GossipKind::Ack, self.rank as u16, self.rank);
+                out.push((target, push));
+            }
+        }
         out
     }
 
@@ -592,8 +641,21 @@ impl GossipNode {
     }
 
     /// Assemble one outgoing message: header plus piggy-backed rumors (the
-    /// highest remaining budgets first) and digest rows.
+    /// highest remaining budgets first) and digest rows. Oversized runs
+    /// carry a seeded window of rows; anti-entropy completes across
+    /// successive exchanges.
     fn message(&mut self, kind: GossipKind, subject: u16) -> GossipMessage {
+        let start = if self.digest.capacity() > MAX_ROWS_PER_MESSAGE {
+            (self.rng.next_u64() % self.digest.capacity() as u64) as usize
+        } else {
+            0
+        };
+        self.message_from(kind, subject, start)
+    }
+
+    /// As [`Self::message`], with the digest window of an oversized run
+    /// starting at rank `start` (every row fits otherwise).
+    fn message_from(&mut self, kind: GossipKind, subject: u16, start: usize) -> GossipMessage {
         self.rumors
             .sort_by_key(|&(_, budget)| std::cmp::Reverse(budget));
         let mut rumors = Vec::new();
@@ -611,13 +673,13 @@ impl GossipNode {
         let digest: Vec<DigestRow> = if self.digest.capacity() <= MAX_ROWS_PER_MESSAGE {
             self.digest.rows().to_vec()
         } else {
-            // Oversized runs: a seeded subset per message; anti-entropy
-            // completes across successive exchanges.
-            let start = (self.rng.next_u64() % self.digest.capacity() as u64) as usize;
             (0..MAX_ROWS_PER_MESSAGE)
                 .map(|i| self.digest.rows()[(start + i) % self.digest.capacity()])
                 .collect()
         };
+        if let Some(own) = digest.iter().find(|row| row.rank as usize == self.rank) {
+            self.carried_latest = own.latest;
+        }
         GossipMessage {
             kind,
             from: self.rank as u16,
@@ -650,6 +712,8 @@ pub mod stats {
         pub row_merges: u64,
         /// Death verdicts declared or adopted.
         pub death_verdicts: u64,
+        /// Digest pushes sent (one per target; see [`super::GossipNode::poll`]).
+        pub pushes_sent: u64,
     }
 
     static PROBES: AtomicU64 = AtomicU64::new(0);
@@ -658,6 +722,7 @@ pub mod stats {
     static RUMORS_RECEIVED: AtomicU64 = AtomicU64::new(0);
     static ROW_MERGES: AtomicU64 = AtomicU64::new(0);
     static DEATHS: AtomicU64 = AtomicU64::new(0);
+    static PUSHES: AtomicU64 = AtomicU64::new(0);
 
     macro_rules! bump {
         ($name:ident, $counter:ident) => {
@@ -674,6 +739,7 @@ pub mod stats {
     bump!(count_rumor_received, RUMORS_RECEIVED);
     bump!(count_row_merge, ROW_MERGES);
     bump!(count_death_verdict, DEATHS);
+    bump!(count_push, PUSHES);
 
     /// Zero all counters (call before a measured run).
     pub fn reset() {
@@ -684,6 +750,7 @@ pub mod stats {
             &RUMORS_RECEIVED,
             &ROW_MERGES,
             &DEATHS,
+            &PUSHES,
         ] {
             counter.store(0, Ordering::Relaxed);
         }
@@ -698,6 +765,7 @@ pub mod stats {
             rumors_received: RUMORS_RECEIVED.load(Ordering::Relaxed),
             row_merges: ROW_MERGES.load(Ordering::Relaxed),
             death_verdicts: DEATHS.load(Ordering::Relaxed),
+            pushes_sent: PUSHES.load(Ordering::Relaxed),
         }
     }
 }
@@ -773,6 +841,81 @@ mod tests {
         for node in &nodes {
             assert!(node.dead_ranks().is_empty());
             assert_eq!(node.digest().row(2).latest, 5, "row propagated");
+        }
+    }
+
+    /// Between probe rounds, a node whose own clean row has moved two
+    /// sweeps past the last message that carried it pushes its digest to
+    /// `fanout` members as an unsolicited ack of itself: rate-limited,
+    /// never for a dirty row, and answered by nothing.
+    #[test]
+    fn clean_rows_outpacing_the_probe_cycle_are_pushed() {
+        let timing = GossipTiming::wall_clock();
+        let mut node = GossipNode::new(0, 4, 4, 2, 3, timing);
+        let sweep = |iteration: u64, clean_since: u64| SweepSummary {
+            iteration,
+            clean: clean_since != u64::MAX,
+            stable: false,
+            clean_since,
+            stable_streak: 0,
+            generation: 0,
+            epoch: 0,
+            has_async_neighbors: false,
+            points: iteration * 10,
+            busy_ns: iteration * 1000,
+        };
+        // The first poll is a probe round; the probe carries row latest 1.
+        node.record_sweep(&sweep(1, u64::MAX));
+        let probe = node.poll(0);
+        assert_eq!(probe.len(), 1);
+        assert_eq!(probe[0].1.kind, GossipKind::Probe);
+        // One sweep past the carried row is not worth a datagram.
+        node.record_sweep(&sweep(2, 2));
+        assert!(node.poll(1).is_empty());
+        // A dirty row carries no decision evidence.
+        node.record_sweep(&sweep(5, u64::MAX));
+        assert!(node.poll(2).is_empty());
+        node.record_sweep(&sweep(6, 6));
+        let push = node.poll(3);
+        assert_eq!(push.len(), 2, "one push per fanout member");
+        for (to, msg) in &push {
+            assert_ne!(*to, 0);
+            assert_eq!((msg.kind, msg.subject), (GossipKind::Ack, 0));
+            assert_eq!(msg.digest[0].latest, 6);
+        }
+        assert_ne!(push[0].0, push[1].0);
+        // Rate limit: one push per tenth of a probe period.
+        node.record_sweep(&sweep(9, 6));
+        assert!(node.poll(4).is_empty());
+        assert_eq!(node.poll(3 + timing.probe_period / 10).len(), 2);
+        // The receiver merges the row and sends nothing back.
+        let mut peer = GossipNode::new(push[0].0, 4, 4, 2, 3, timing);
+        assert!(peer.on_message(&push[0].1, 3).is_empty());
+        assert_eq!(peer.digest().row(0).latest, 6);
+
+        // A digest larger than one message: every push still carries the
+        // own row, and pushing stops once the row has been carried.
+        let capacity = MAX_ROWS_PER_MESSAGE + 8;
+        let rank = capacity - 3;
+        let mut node = GossipNode::new(rank, capacity, capacity, 2, 3, timing);
+        let rate = timing.probe_period / 10;
+        node.record_sweep(&sweep(1, u64::MAX));
+        assert_eq!(node.poll(0).len(), 1, "the first poll is a probe round");
+        // Every poll below falls before the next probe round (10 * rate).
+        for round in 1..=4 {
+            let iteration = 2 * round + 1;
+            node.record_sweep(&sweep(iteration, 3));
+            let push = node.poll(2 * round * rate);
+            assert_eq!(push.len(), 2, "round {round}: one push per fanout member");
+            for (_, msg) in &push {
+                assert_eq!(msg.digest.len(), MAX_ROWS_PER_MESSAGE);
+                let own = msg.digest.iter().find(|row| row.rank as usize == rank);
+                assert_eq!(own.map(|row| row.latest), Some(iteration), "round {round}");
+            }
+            assert!(
+                node.poll((2 * round + 1) * rate).is_empty(),
+                "round {round}: the row was carried, nothing is left to push"
+            );
         }
     }
 

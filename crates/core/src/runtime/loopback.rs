@@ -305,16 +305,18 @@ impl LoopLinkState {
     }
 }
 
-/// The [`PeerTransport`] of the loopback runtime: instant delivery into
-/// sibling inboxes, timers on the shared event-counter clock.
 /// Nanoseconds of protocol-timer delay per loopback event tick (0.1 ms):
 /// the exchange rate [`LoopbackTransport::arm_timer`] applies to the
 /// session stack's ns-denominated timer requests. Chosen so the reliable
-/// channel's 600 ms retransmission timeout becomes 6 000 events — far
-/// above any loopback round trip (a handful of events), far below the
-/// driver's wedge-guard gap even at full exponential back-off.
+/// channel's initial retransmission timeout
+/// ([`p2psap::data::ReliabilityMicro::DEFAULT_RTO_NS`], 600 ms) becomes
+/// 6 000 events — far above any loopback round trip (a handful of events),
+/// far below the driver's wedge-guard gap even at full exponential
+/// back-off.
 const NS_PER_EVENT: u64 = 100_000;
 
+/// The [`PeerTransport`] of the loopback runtime: instant delivery into
+/// sibling inboxes, timers on the shared event-counter clock.
 struct LoopbackTransport {
     rank: usize,
     peers: usize,

@@ -14,10 +14,12 @@
 //!
 //! Blocking is forbidden inside an event loop, so every wait is a per-peer
 //! state machine phase: bootstrap discovery resends hellos on poll ticks
-//! until the rank→address table lands, a pre-provisioned join rank stays
-//! dormant until its seeded join fires, and a crashed peer parks in an
-//! await-grant phase (its replacement socket already bound) until the
-//! failure monitor grants recovery or the run stops.
+//! until the rank→address table lands (ghosts that race ahead of the
+//! table are reassembled and held, then handed to the engine once it
+//! starts, so no solve waits on a retransmission), a pre-provisioned join
+//! rank stays dormant until its seeded join fires, and a crashed peer
+//! parks in an await-grant phase (its replacement socket already bound)
+//! until the failure monitor grants recovery or the run stops.
 
 use crate::app::IterativeTask;
 use crate::churn::{SharedVolatility, VolatilityState};
@@ -29,9 +31,10 @@ use crate::runtime::engine::{
     ConvergenceDetector, PeerEngine, PeerTransport, SharedDetector, TimerQueue,
 };
 use crate::runtime::udp::{
-    bootstrap_service, localhost, send_gossip, Datagram, LossShim, Reassembler, UdpTransport,
+    localhost, send_gossip, Bootstrap, Datagram, LossShim, Reassembler, UdpTransport,
 };
 use crate::runtime::RunConfig;
+use bytes::Bytes;
 use netsim::{NodeId, Topology};
 use polling::{Events, Poller};
 use std::collections::HashMap;
@@ -188,6 +191,9 @@ struct Peer {
     reassembler: Reassembler,
     /// Table received by the drain sweep, applied by the advance sweep.
     table: Option<Vec<SocketAddr>>,
+    /// Segments completed while discovering, handed to the engine by the
+    /// advance sweep right after it starts or recovers.
+    held: Vec<(usize, Bytes)>,
     /// The peer's SWIM node under the gossip control plane (`None` under
     /// the centralized plane and while [`Phase::Dormant`]). Migrates with
     /// the peer between event loops.
@@ -405,6 +411,21 @@ fn grow_socket_buffers(socket: &UdpSocket) {
 fn grow_socket_buffers(_socket: &UdpSocket) {}
 
 impl Peer {
+    /// A rank's slot before it has an engine or a socket.
+    fn dormant(rank: usize) -> Self {
+        Self {
+            rank,
+            phase: Phase::Dormant,
+            engine: None,
+            transport: None,
+            reassembler: Reassembler::new(),
+            table: None,
+            held: Vec::new(),
+            gossip: None,
+            seen_ports_version: 0,
+        }
+    }
+
     /// Bind a fresh nonblocking socket for this rank, register it with the
     /// poller under the rank as key, publish its port, and enter discovery.
     fn bind_and_discover(&mut self, poller: &Poller, ctx: &LoopShared<'_>, then: OnTable) {
@@ -467,85 +488,86 @@ impl Peer {
     }
 
     /// Drain everything the kernel has buffered on this peer's socket.
-    /// While discovering, only the bootstrap table is acted on (data
-    /// fragments racing ahead of it are discarded — the reliable channel
-    /// retransmits and asynchronous ghosts are superseded). While running,
-    /// fragments are reassembled into segments and control datagrams are
-    /// dispatched to the engine.
+    /// While running, fragments are reassembled into segments for the
+    /// engine and control datagrams are dispatched to it. While
+    /// discovering, fragments are reassembled too and the completed
+    /// segments held until the table lands: a neighbour that got its table
+    /// first may already have sent its first synchronous ghost, and
+    /// dropping it would leave the sender waiting a full retransmission
+    /// timeout. Of the control datagrams, only the table is acted on then.
     fn drain(&mut self, buf: &mut [u8]) {
         let Some(transport) = self.transport.as_mut() else {
             return;
         };
         while let Ok((len, _)) = transport.socket.recv_from(buf) {
-            match &mut self.phase {
-                Phase::Discovering { .. } => {
-                    if let Some(Datagram::Table { ports }) = Datagram::decode(&buf[..len]) {
-                        if ports.len() == transport.addrs.len() {
-                            self.table = Some(
-                                ports
-                                    .into_iter()
-                                    .map(|p| SocketAddr::V4(SocketAddrV4::new(localhost(), p)))
-                                    .collect(),
+            let running = match self.phase {
+                Phase::Running => true,
+                Phase::Discovering { .. } => false,
+                // Dormant peers have no socket; a crashed peer's replacement
+                // socket swallows stray traffic unread until recovery.
+                _ => continue,
+            };
+            let engine = self.engine.as_mut().expect("socket-owning peer has engine");
+            if running && engine.finished() {
+                break;
+            }
+            // Fragments (the data hot path) are parsed borrowed and copied
+            // once, into a pooled reassembly buffer; control datagrams take
+            // the allocating decode.
+            if let Some((from, msg_id, frag_index, frag_count, payload)) =
+                Datagram::fragment_fields(&buf[..len])
+            {
+                if let Some((from, segment)) = self
+                    .reassembler
+                    .push_ref(from, msg_id, frag_index, frag_count, payload)
+                {
+                    if running {
+                        engine.on_segment(from, segment, transport);
+                    } else {
+                        self.held.push((from, segment));
+                    }
+                }
+                continue;
+            }
+            match Datagram::decode(&buf[..len]) {
+                Some(Datagram::Table { ports }) if ports.len() == transport.addrs.len() => {
+                    let addrs = ports
+                        .into_iter()
+                        .map(|p| SocketAddr::V4(SocketAddrV4::new(localhost(), p)))
+                        .collect();
+                    if running {
+                        // A table re-broadcast mid-run: a joiner announced
+                        // or a recovered peer rebound its socket.
+                        transport.addrs = addrs;
+                    } else {
+                        self.table = Some(addrs);
+                    }
+                }
+                // While discovering, only the table is acted on.
+                _ if !running => {}
+                Some(Datagram::Stop { .. }) => engine.on_stop_signal(transport),
+                Some(Datagram::Fragment { .. }) => unreachable!("fragments parsed above"),
+                Some(Datagram::Rollback {
+                    to_iteration,
+                    generation,
+                    ..
+                }) => engine.on_rollback(to_iteration, generation, transport),
+                Some(Datagram::Gossip { payload, .. }) => {
+                    if let (Some(g), Some(msg)) =
+                        (self.gossip.as_mut(), GossipMessage::decode(&payload))
+                    {
+                        let now = transport.now_ns();
+                        for (to, reply) in g.on_message(&msg, now) {
+                            send_gossip(
+                                &transport.socket,
+                                &transport.addrs,
+                                transport.rank,
+                                to,
+                                &reply,
                             );
                         }
                     }
                 }
-                Phase::Running => {
-                    let engine = self.engine.as_mut().expect("running peer has engine");
-                    if engine.finished() {
-                        break;
-                    }
-                    // Fragments (the data hot path) are parsed borrowed and
-                    // copied once, into a pooled reassembly buffer; control
-                    // datagrams take the allocating decode.
-                    if let Some((from, msg_id, frag_index, frag_count, payload)) =
-                        Datagram::fragment_fields(&buf[..len])
-                    {
-                        if let Some((from, segment)) = self
-                            .reassembler
-                            .push_ref(from, msg_id, frag_index, frag_count, payload)
-                        {
-                            engine.on_segment(from, segment, transport);
-                        }
-                        continue;
-                    }
-                    match Datagram::decode(&buf[..len]) {
-                        Some(Datagram::Stop { .. }) => engine.on_stop_signal(transport),
-                        Some(Datagram::Fragment { .. }) => unreachable!("fragments parsed above"),
-                        Some(Datagram::Rollback {
-                            to_iteration,
-                            generation,
-                            ..
-                        }) => engine.on_rollback(to_iteration, generation, transport),
-                        // A table re-broadcast mid-run: a joiner announced
-                        // or a recovered peer rebound its socket.
-                        Some(Datagram::Table { ports }) if ports.len() == transport.addrs.len() => {
-                            transport.addrs = ports
-                                .into_iter()
-                                .map(|p| SocketAddr::V4(SocketAddrV4::new(localhost(), p)))
-                                .collect();
-                        }
-                        Some(Datagram::Gossip { payload, .. }) => {
-                            if let (Some(g), Some(msg)) =
-                                (self.gossip.as_mut(), GossipMessage::decode(&payload))
-                            {
-                                let now = transport.now_ns();
-                                for (to, reply) in g.on_message(&msg, now) {
-                                    send_gossip(
-                                        &transport.socket,
-                                        &transport.addrs,
-                                        transport.rank,
-                                        to,
-                                        &reply,
-                                    );
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                // Dormant peers have no socket; a crashed peer's replacement
-                // socket swallows stray traffic unread until recovery.
                 _ => {}
             }
         }
@@ -615,6 +637,12 @@ impl Peer {
                                 g.on_recovered();
                             }
                         }
+                    }
+                    for (from, segment) in self.held.drain(..) {
+                        if engine.finished() {
+                            break;
+                        }
+                        engine.on_segment(from, segment, transport);
                     }
                 } else if hello_at.elapsed() >= HELLO_RETRY {
                     *hello_at = Instant::now();
@@ -813,23 +841,7 @@ fn event_loop(
     let mut running_nodes: Vec<NodeId> = Vec::new();
     // Keyed by rank (the rank is also each socket's poller key), because
     // migration makes the resident set non-contiguous.
-    let mut peers: HashMap<usize, Peer> = ranks
-        .map(|rank| {
-            (
-                rank,
-                Peer {
-                    rank,
-                    phase: Phase::Dormant,
-                    engine: None,
-                    transport: None,
-                    reassembler: Reassembler::new(),
-                    table: None,
-                    gossip: None,
-                    seen_ports_version: 0,
-                },
-            )
-        })
-        .collect();
+    let mut peers: HashMap<usize, Peer> = ranks.map(|rank| (rank, Peer::dormant(rank))).collect();
     // Initial ranks get their engine and socket up front; pre-provisioned
     // join ranks stay dormant.
     for peer in peers.values_mut() {
@@ -960,11 +972,7 @@ where
         vol
     });
     // Bootstrap: bind the service port first so peers have a rendezvous.
-    let bootstrap_socket = UdpSocket::bind(SocketAddrV4::new(localhost(), 0))
-        .expect("bind bootstrap socket on localhost");
-    let bootstrap_addr = bootstrap_socket.local_addr().expect("bootstrap addr");
-    let bootstrap_stop = Arc::new(AtomicBool::new(false));
-    let bootstrap = bootstrap_service(bootstrap_socket, alpha, total, Arc::clone(&bootstrap_stop));
+    let bootstrap = Bootstrap::start(alpha, total);
 
     // Event-loop pool: explicit via extras, otherwise sized from the host's
     // parallelism (the loops are compute-bound — the relaxation kernels run
@@ -1016,7 +1024,7 @@ where
         shared: &shared,
         volatility: &volatility,
         topo: &topo,
-        bootstrap_addr,
+        bootstrap_addr: bootstrap.addr,
         start,
         ports: &ports,
         ports_version: &ports_version,
@@ -1038,8 +1046,7 @@ where
             scope.spawn(move || event_loop(index, lo..hi, ctx, task_factory));
         }
     });
-    bootstrap_stop.store(true, Ordering::Relaxed);
-    let _ = bootstrap.join();
+    bootstrap.shutdown();
     *LAST_LOOP_STATS.lock().unwrap() = Some(balancer.stats());
 
     let fallback_now = start.elapsed().as_nanos() as u64;
@@ -1062,6 +1069,7 @@ mod tests {
     use super::*;
     use crate::runtime::engine::testing::RampTask;
     use crate::BackendExtras;
+    use p2psap::data::ReliabilityMicro;
     use p2psap::Scheme;
 
     const RAMP: u64 = 10;
@@ -1203,18 +1211,8 @@ mod tests {
     #[test]
     fn mailbox_delivery_and_done_counting() {
         let balancer = Balancer::new(2, 2, true);
-        let peer = Peer {
-            rank: 7,
-            phase: Phase::Dormant,
-            engine: None,
-            transport: None,
-            reassembler: Reassembler::new(),
-            table: None,
-            gossip: None,
-            seen_ports_version: 0,
-        };
         assert!(balancer.collect(1).is_empty());
-        balancer.deliver(1, peer);
+        balancer.deliver(1, Peer::dormant(7));
         assert!(balancer.collect(0).is_empty(), "wrong mailbox stays empty");
         let arrived = balancer.collect(1);
         assert_eq!(arrived.len(), 1);
@@ -1225,6 +1223,132 @@ mod tests {
         balancer.mark_done();
         balancer.mark_done();
         assert!(balancer.all_done());
+    }
+
+    /// Ghosts that reach a peer still waiting for its bootstrap table are
+    /// kept, not dropped: the middle rank of a synchronous line gets one
+    /// neighbour's first ghost before its table and the other's right after
+    /// it, in one drain. Both reach its engine once it runs, so it starts
+    /// its second relaxation at once — without them it would sit idle until
+    /// the neighbours' retransmission timers fired.
+    #[test]
+    fn ghosts_racing_the_bootstrap_table_reach_the_engine() {
+        let peers = 3;
+        let config = RunConfig::quick(Scheme::Synchronous, peers);
+        let topology = config.provisioned_topology();
+        let shared = ConvergenceDetector::shared_with_capacity(
+            config.tolerance,
+            config.scheme,
+            peers,
+            peers,
+        );
+        // The test plays the bootstrap service and hands out the tables.
+        let bootstrap = UdpSocket::bind(SocketAddrV4::new(localhost(), 0)).unwrap();
+        let ports = Mutex::new(vec![0u16; peers]);
+        let ports_version = AtomicU64::new(0);
+        let dropped = AtomicU64::new(0);
+        let balancer = Balancer::new(1, peers, false);
+        let ctx = LoopShared {
+            alpha: peers,
+            topology: &topology,
+            config: &config,
+            shared: &shared,
+            volatility: &None,
+            topo: &None,
+            bootstrap_addr: bootstrap.local_addr().unwrap(),
+            start: Instant::now(),
+            ports: &ports,
+            ports_version: &ports_version,
+            dropped: &dropped,
+            balancer: &balancer,
+        };
+        let poller = Poller::new().unwrap();
+        let mut line: Vec<Peer> = (0..peers)
+            .map(|rank| {
+                let mut peer = Peer::dormant(rank);
+                peer.engine = Some(PeerEngine::new(
+                    rank,
+                    config.scheme,
+                    &topology,
+                    Box::new(RampTask::line(rank, peers, RAMP)),
+                    Arc::clone(&shared),
+                    config.max_relaxations,
+                ));
+                peer.bind_and_discover(&poller, &ctx, OnTable::Start);
+                peer
+            })
+            .collect();
+        let table = Datagram::Table {
+            ports: ports.lock().unwrap().clone(),
+        }
+        .encode();
+        let send_table = |peer: &Peer| {
+            let addr = peer
+                .transport
+                .as_ref()
+                .unwrap()
+                .socket
+                .local_addr()
+                .unwrap();
+            bootstrap.send_to(&table, addr).unwrap();
+        };
+        let mut buf = vec![0u8; 65536];
+        // Start an outer rank and run it through its first relaxation: its
+        // ghost to rank 1 leaves as soon as the sweep completes.
+        let first_sweep = |peer: &mut Peer, buf: &mut [u8]| {
+            send_table(peer);
+            for _ in 0..1000 {
+                peer.drain(buf);
+                peer.advance(&poller, &ctx);
+                let engine = peer.engine.as_ref().unwrap();
+                if engine.relaxations() >= 1 && !engine.computing() {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            panic!("rank {} never finished its first sweep", peer.rank);
+        };
+        let (outer, rest) = line.split_at_mut(1);
+        let (middle, last) = rest.split_at_mut(1);
+        let (rank0, rank1, rank2) = (&mut outer[0], &mut middle[0], &mut last[0]);
+        first_sweep(rank0, &mut buf);
+        let socket1 = &rank1.transport.as_ref().unwrap().socket;
+        let ghost_queued = (0..1000).any(|_| {
+            let queued = socket1.peek_from(&mut buf).is_ok();
+            if !queued {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            queued
+        });
+        assert!(ghost_queued, "rank 0's ghost never reached rank 1");
+        send_table(rank1);
+        first_sweep(rank2, &mut buf);
+        for _ in 0..1000 {
+            rank1.drain(&mut buf);
+            if rank1.table.is_some() && rank1.held.len() == 2 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(matches!(rank1.phase, Phase::Discovering { .. }));
+        assert!(rank1.table.is_some(), "the table landed");
+        let senders: Vec<usize> = rank1.held.iter().map(|(from, _)| *from).collect();
+        assert_eq!(senders, vec![0, 2], "both ghosts held, in arrival order");
+        // Running: the held ghosts are delivered right after `on_start`, so
+        // the first sweep's completion finds both neighbours' boundaries.
+        for _ in 0..3 {
+            rank1.drain(&mut buf);
+            rank1.advance(&poller, &ctx);
+        }
+        assert!(rank1.held.is_empty());
+        assert!(
+            rank1.engine.as_ref().unwrap().relaxations() >= 2,
+            "rank 1 stalled after its first relaxation"
+        );
+        assert!(
+            ctx.start.elapsed() < Duration::from_nanos(ReliabilityMicro::DEFAULT_RTO_NS),
+            "no retransmission timer can have fired"
+        );
     }
 
     /// Crash + recovery inside an event loop: the victim's socket is

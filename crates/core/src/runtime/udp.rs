@@ -13,7 +13,10 @@
 //!   bootstrap service owned by the run binds its own port, every peer
 //!   announces `HELLO(rank)` from its freshly bound socket (retrying until
 //!   answered), and once all ranks have announced, the service replies with
-//!   the full rank→port table. No addresses are configured up front.
+//!   the full rank→port table. No addresses are configured up front. At the
+//!   end of the run `Bootstrap::shutdown` wakes the service's blocking
+//!   read with one empty datagram, so the run does not wait out its read
+//!   timeout.
 //! * **Loss / reorder shim** — [`LossShim`] wraps the socket's send path
 //!   with a deterministic [`ChaCha8Rng`] seeded from the experiment seed,
 //!   dropping or swapping datagrams with configured probabilities, so the
@@ -671,46 +674,83 @@ pub(crate) fn localhost() -> Ipv4Addr {
 /// every *initial* peer, then answers every (re-)announcement with the full
 /// `total`-slot table (pre-provisioned join ranks appear as port 0 until
 /// they announce; a joiner's hello triggers a table re-broadcast so every
-/// running peer learns its address mid-run). Runs until `stop` is set.
-pub(crate) fn bootstrap_service(
-    socket: UdpSocket,
-    initial: usize,
-    total: usize,
+/// running peer learns its address mid-run). Runs until
+/// [`Bootstrap::shutdown`].
+pub(crate) struct Bootstrap {
+    /// The rendezvous address peers send their hellos to.
+    pub(crate) addr: SocketAddr,
     stop: Arc<AtomicBool>,
-) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
-        socket
-            .set_read_timeout(Some(Duration::from_millis(20)))
-            .expect("set bootstrap read timeout");
-        let mut ports: Vec<Option<u16>> = vec![None; total];
-        let mut buf = [0u8; 64];
-        while !stop.load(Ordering::Relaxed) {
-            let Ok((len, from_addr)) = socket.recv_from(&mut buf) else {
-                continue;
-            };
-            let Some(Datagram::Hello { rank }) = Datagram::decode(&buf[..len]) else {
-                continue;
-            };
-            if rank < total {
-                ports[rank] = Some(from_addr.port());
+    /// A second handle on the service socket, used to wake its blocking
+    /// read at shutdown.
+    waker: UdpSocket,
+    thread: std::thread::JoinHandle<()>,
+}
+
+impl Bootstrap {
+    /// Bind the service port on localhost and start answering hellos.
+    pub(crate) fn start(initial: usize, total: usize) -> Self {
+        let socket = UdpSocket::bind(SocketAddrV4::new(localhost(), 0))
+            .expect("bind bootstrap socket on localhost");
+        let addr = socket.local_addr().expect("bootstrap addr");
+        let waker = socket.try_clone().expect("clone bootstrap socket");
+        let stop = Arc::new(AtomicBool::new(false));
+        let thread = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || serve_bootstrap(&socket, initial, total, &stop))
+        };
+        Self {
+            addr,
+            stop,
+            waker,
+            thread,
+        }
+    }
+
+    /// Stop the service and join its thread. One empty datagram to the
+    /// service's own port wakes the blocking read, so the join returns at
+    /// once instead of after the read timeout.
+    pub(crate) fn shutdown(self) {
+        self.stop.store(true, Ordering::Release);
+        let _ = self.waker.send_to(&[], self.addr);
+        self.thread
+            .join()
+            .expect("bootstrap service thread panicked");
+    }
+}
+
+fn serve_bootstrap(socket: &UdpSocket, initial: usize, total: usize, stop: &AtomicBool) {
+    // The timeout only bounds shutdown if the wake datagram is lost.
+    socket
+        .set_read_timeout(Some(Duration::from_millis(20)))
+        .expect("set bootstrap read timeout");
+    let mut ports: Vec<Option<u16>> = vec![None; total];
+    let mut buf = [0u8; 64];
+    while !stop.load(Ordering::Acquire) {
+        let Ok((len, from_addr)) = socket.recv_from(&mut buf) else {
+            continue;
+        };
+        let Some(Datagram::Hello { rank }) = Datagram::decode(&buf[..len]) else {
+            continue;
+        };
+        if rank < total {
+            ports[rank] = Some(from_addr.port());
+        }
+        if ports.iter().take(initial).all(|p| p.is_some()) {
+            let table = Datagram::Table {
+                ports: ports.iter().map(|p| p.unwrap_or(0)).collect(),
             }
-            if ports.iter().take(initial).all(|p| p.is_some()) {
-                let table = Datagram::Table {
-                    ports: ports.iter().map(|p| p.unwrap_or(0)).collect(),
-                }
-                .encode();
-                // Answer the announcer (and everyone else, so peers whose
-                // earlier table reply was not yet sent make progress and a
-                // joiner's port reaches the already-running peers).
-                for port in ports.iter().flatten() {
-                    let _ = socket.send_to(
-                        &table,
-                        SocketAddr::V4(SocketAddrV4::new(localhost(), *port)),
-                    );
-                }
+            .encode();
+            // Answer the announcer (and everyone else, so peers whose
+            // earlier table reply was not yet sent make progress and a
+            // joiner's port reaches the already-running peers).
+            for port in ports.iter().flatten() {
+                let _ = socket.send_to(
+                    &table,
+                    SocketAddr::V4(SocketAddrV4::new(localhost(), *port)),
+                );
             }
         }
-    })
+    }
 }
 
 /// Send one gossip message as a [`Datagram::Gossip`] straight over the

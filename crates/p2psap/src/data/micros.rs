@@ -218,6 +218,12 @@ pub struct ReliabilityMicro {
 }
 
 impl ReliabilityMicro {
+    /// Initial retransmission timeout of [`ReliabilityMicro::with_defaults`]:
+    /// 600 ms, comfortably above the 200 ms inter-cluster round trip of the
+    /// paper's testbed, so reliable WAN channels do not retransmit
+    /// spuriously.
+    pub const DEFAULT_RTO_NS: u64 = 600_000_000;
+
     /// Create a reliability micro-protocol with the given initial RTO.
     pub fn new(rto_ns: u64, max_retries: u32) -> Self {
         Self {
@@ -227,11 +233,10 @@ impl ReliabilityMicro {
         }
     }
 
-    /// Default configuration: 600 ms initial RTO (comfortably above the
-    /// 200 ms inter-cluster round trip of the paper's testbed, so reliable
-    /// WAN channels do not retransmit spuriously), 5 retries.
+    /// Default configuration: [`Self::DEFAULT_RTO_NS`] initial RTO,
+    /// 5 retries.
     pub fn with_defaults() -> Self {
-        Self::new(600_000_000, 5)
+        Self::new(Self::DEFAULT_RTO_NS, 5)
     }
 }
 

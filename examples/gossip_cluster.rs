@@ -65,10 +65,11 @@ fn main() {
 
     let g = p2pdc::gossip::stats::snapshot();
     println!(
-        "gossip traffic: probes={} indirect={} rumors sent/received={}/{} \
+        "gossip traffic: probes={} indirect={} pushes={} rumors sent/received={}/{} \
          digest merges={} death verdicts={}",
         g.probes_sent,
         g.indirect_probes,
+        g.pushes_sent,
         g.rumors_sent,
         g.rumors_received,
         g.row_merges,

@@ -5,8 +5,10 @@
 
 use p2pdc::{
     run_obstacle_on, run_on, BackendExtras, ObstacleExperiment, ObstacleInstance, ObstacleParams,
-    ObstacleWorkload, RunConfig, RuntimeKind, Scheme,
+    ObstacleWorkload, RunConfig, RuntimeKind, Scheme, WorkloadKind,
 };
+use p2psap::data::ReliabilityMicro;
+use std::time::{Duration, Instant};
 
 /// Fixed-seed cross-runtime agreement: the synchronous scheme converges at
 /// a problem-determined iteration, so loopback and the reactor must agree on
@@ -50,6 +52,63 @@ fn udp_and_loopback_agree_on_synchronous_relaxation_counts() {
         udp.measurement.residual < exp.tolerance * 2.0,
         "reactor residual {}",
         udp.measurement.residual
+    );
+}
+
+/// Back-to-back lossless synchronous solves on the reactor never idle on a
+/// retransmission timer. Every solve (obstacle n = 14, 4 peers on 2 event
+/// loops) must finish well inside the reliable channel's initial RTO and
+/// stop at loopback's convergence iteration. A ghost dropped because it
+/// reached a peer still waiting for its bootstrap table would leave its
+/// sender waiting for the retransmission, one full RTO. On a 2-vCPU host
+/// a debug build solves in about 40 ms (p95 under 120 ms with both cores
+/// saturated by other work), so only a timer wait reaches the RTO.
+#[test]
+fn lossless_synchronous_solves_never_wait_on_the_initial_rto() {
+    let solves = 20;
+    let peers = 4;
+    let workload = WorkloadKind::Obstacle.build(14, peers);
+    let mut config = RunConfig::single_cluster(Scheme::Synchronous, peers);
+    config.tolerance = 1e-4;
+    let min = |m: &p2pdc::RunMeasurement| m.relaxations_per_peer.iter().copied().min().unwrap_or(0);
+    let loopback = run_on(workload.as_ref(), &config, RuntimeKind::Loopback);
+    assert!(loopback.measurement.converged);
+    let convergence = min(&loopback.measurement);
+    assert_eq!(convergence, 56, "loopback convergence iteration");
+    let config = config.with_extras(BackendExtras::Reactor {
+        event_loops: 2,
+        loss_probability: 0.0,
+        reorder_probability: 0.0,
+    });
+    let rto = Duration::from_nanos(ReliabilityMicro::DEFAULT_RTO_NS);
+    let mut times = Vec::with_capacity(solves);
+    for solve in 0..solves {
+        let started = Instant::now();
+        let result = run_on(workload.as_ref(), &config, RuntimeKind::Reactor);
+        let elapsed = started.elapsed();
+        assert!(
+            result.measurement.converged,
+            "solve {solve} did not converge"
+        );
+        assert_eq!(
+            min(&result.measurement),
+            convergence,
+            "solve {solve}: convergence iteration differs from loopback: {:?}",
+            result.measurement.relaxations_per_peer
+        );
+        assert!(
+            elapsed < rto,
+            "solve {solve} took {elapsed:?}, at least one initial RTO ({rto:?}): \
+             it waited on a retransmission"
+        );
+        times.push(elapsed);
+    }
+    times.sort_unstable();
+    let median = times[solves / 2];
+    let p95 = times[(solves * 95).div_ceil(100) - 1];
+    eprintln!(
+        "reactor solves: median {median:?}, p95 {p95:?}, p95/median {:.2}",
+        p95.as_secs_f64() / median.as_secs_f64()
     );
 }
 
